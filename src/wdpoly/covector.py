@@ -292,8 +292,6 @@ def enumerate_cells(
     """All cells of the covector decomposition of the projective torus."""
     records = []
     for g in enumerate_covector_graphs(v, candidate_bound=candidate_bound):
-        if any(len(g.col_neighbors(j)) == 0 for j in range(1, v.n + 1)):
-            continue
         records.append(
             CellRecord(
                 graph=g,
@@ -526,12 +524,9 @@ def signed_cells(
             f"signed cell enumeration is limited to {sign_bound} columns, got {v.n}"
         )
     support = v.support()
-    torus = enumerate_cells(v, candidate_bound=candidate_bound)
-    boundary = [
-        c
-        for c in projective_decomposition(v, candidate_bound=candidate_bound)
-        if c.stratum
-    ]
+    decomposition = projective_decomposition(v, candidate_bound=candidate_bound)
+    torus = [c for c in decomposition if not c.stratum]
+    boundary = [c for c in decomposition if c.stratum]
     samples = {c: cell_sample_point(v, c) for c in boundary}
     out: dict[str, list[CellRecord]] = {}
     for signs in itertools.product("+-", repeat=v.n):

@@ -402,10 +402,12 @@ def project(w: WeightedDigraph, deleted: Iterable[int]) -> WeightedDigraph:
 def membership(
     w: WeightedDigraph, x: Sequence
 ) -> tuple[bool, frozenset[tuple[int, int]]]:
-    """Whether x lies in Q(W), plus the set of arcs attained with equality."""
+    """Whether the finite point x lies in Q(W), plus the arcs attained with equality."""
     if len(x) != w.k:
         raise ShapeError(f"point has length {len(x)}, digraph has {w.k} nodes")
-    pt = [Fraction(v) if not isinstance(v, Fraction) else v for v in x]
+    pt = [tval(v) for v in x]
+    if any(c is INF for c in pt):
+        raise DomainError("membership needs a finite point")
     ok = True
     tight = set()
     for (i, j), wt in w.arcs.items():

@@ -11,7 +11,6 @@ simplices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -21,7 +20,6 @@ from .digraph import (
     detect_negative_cycle,
     face,
     interior_point,
-    kleene_star,
     weak_components,
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
@@ -162,37 +160,82 @@ def _validate_subgraph(v: PointConfig, g: BipartiteSupportGraph) -> None:
         raise DomainError(f"arcs {extra} are not in the support of V")
 
 
+# ---------------------------------------------------------------------------
+# Kleene stars of face digraphs: (d+n)-square lists of rows, where node r < d
+# is row r+1, node d+c is column c+1 and None is an infinite distance.  Stars
+# share the rows an update leaves alone, so a row is never mutated in place.
+
+
+def _tighten(star: list[list], r: int, c: int, w: Fraction) -> list[list]:
+    """The star after adding the reversed arc c -> r of weight -w.
+
+    Requires ``star[r][c] == w``: the new arc then closes no negative
+    cycle, and one min-plus pass through it is the whole update.
+    """
+    reach = [(b, x) for b, x in enumerate(star[r]) if x is not None]
+    out = list(star)
+    for a, row in enumerate(star):
+        to_c = row[c]
+        if to_c is None:
+            continue
+        base = to_c - w
+        new = list(row)
+        for b, x in reach:
+            cand = base + x
+            if new[b] is None or cand < new[b]:
+                new[b] = cand
+        out[a] = new
+    return out
+
+
+def _face_star(v: PointConfig, arcs: Iterable[tuple[int, int]]) -> list[list] | None:
+    """Star of the face digraph W#G, or None if the face is empty.
+
+    The envelope digraph W is acyclic, so its star is its arcs plus a zero
+    diagonal; the arcs of G are then added one at a time.
+    """
+    k = v.d + v.n
+    star = [[None] * k for _ in range(k)]
+    for a in range(k):
+        star[a][a] = Fraction(0)
+    for i, j in v.support().arcs:
+        star[i - 1][v.d + j - 1] = v.entry(i, j)
+    for i, j in arcs:
+        r, c, w = i - 1, v.d + j - 1, v.entry(i, j)
+        if star[r][c] != w:
+            return None
+        star = _tighten(star, r, c, w)
+    return star
+
+
+def _tight_arcs(v: PointConfig, star: list[list]) -> frozenset[tuple[int, int]]:
+    """Support arcs on a zero-weight cycle of the face digraph: its closure."""
+    return frozenset(
+        (i, j)
+        for (i, j) in v.support().arcs
+        if star[v.d + j - 1][i - 1] == -v.entry(i, j)
+    )
+
+
 def covector_closure(v: PointConfig, g: BipartiteSupportGraph) -> CovectorGraph:
     """Smallest covector graph containing G.
 
-    Iteratively adds every support arc lying on a zero-weight cycle of
-    the face digraph; fails if the face is empty.
+    Adds every support arc lying on a zero-weight cycle of the face
+    digraph; fails if the face is empty.
     """
     _validate_subgraph(v, g)
-    support = v.support().arcs
-    current = set(g.arcs)
-    while True:
-        wg = _face_digraph(v, BipartiteSupportGraph(v.d, v.n, frozenset(current)))
-        cyc = detect_negative_cycle(wg)
-        if cyc is not None:
-            raise EmptyCellError(f"face is empty: negative cycle {cyc}")
-        star = kleene_star(wg)
-        added = False
-        for (i, j) in support - current:
-            back = star.entry(v.d + j, i)
-            if back is not INF and v.entry(i, j) + back == 0:
-                current.add((i, j))
-                added = True
-        if not added:
-            return BipartiteSupportGraph(v.d, v.n, frozenset(current))
+    star = _face_star(v, g.arcs)
+    if star is None:
+        cyc = detect_negative_cycle(_face_digraph(v, g))
+        raise EmptyCellError(f"face is empty: negative cycle {cyc}")
+    return BipartiteSupportGraph(v.d, v.n, _tight_arcs(v, star))
 
 
 def is_covector_graph(v: PointConfig, g: BipartiteSupportGraph) -> bool:
     """Whether G labels a nonempty face: feasible and closed under zero cycles."""
     _validate_subgraph(v, g)
-    if detect_negative_cycle(_face_digraph(v, g)) is not None:
-        return False
-    return covector_closure(v, g).arcs == g.arcs
+    star = _face_star(v, g.arcs)
+    return star is not None and _tight_arcs(v, star) == g.arcs
 
 
 def cell_dimension(v: PointConfig, g: CovectorGraph) -> int:
@@ -236,17 +279,22 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of all covector graphs
+# enumeration of covector graphs
 
 
 def enumerate_covector_graphs(
     v: PointConfig, *, candidate_bound: int = 1_000_000
 ) -> list[CovectorGraph]:
-    """All covector graphs of V, canonically ordered.
+    """The covector graphs of V in which every column has an arc, canonically ordered.
 
-    Seeds with the closures of every feasible degree-1 column selection
-    (these include all inclusion-minimal graphs of full-dimensional
-    cells), then saturates under pairwise union followed by closure.
+    These label the cells of the projective torus.  The enumeration walks
+    up the face lattice from the empty graph, keeping the Kleene star S of
+    the face digraph W#G of each graph G until G is expanded.  G+(i,j) is
+    a nonempty face iff S[i][d+j] == v_ij.  A graph that misses a column
+    grows only in the first such column, which reaches every
+    inclusion-minimal graph covering all columns; other graphs grow by
+    every support arc.  If H contains G and a is in H but not in G, then
+    closure(G+a) lies in H, so every graph above those is reached.
     """
     supports = [v.column_support(j) for j in range(1, v.n + 1)]
     total = 1
@@ -256,33 +304,41 @@ def enumerate_covector_graphs(
             raise CapabilityError(
                 f"cell enumeration would scan more than {candidate_bound} seeds"
             )
-    found: dict[frozenset[tuple[int, int]], CovectorGraph] = {}
-    for choice in itertools.product(*[sorted(s) for s in supports]):
-        g = BipartiteSupportGraph(
-            v.d, v.n, frozenset((i, j) for j, i in enumerate(choice, start=1))
-        )
-        if detect_negative_cycle(_face_digraph(v, g)) is not None:
-            continue
-        closed = covector_closure(v, g)
-        found.setdefault(closed.arcs, closed)
-    fresh = list(found)
-    while fresh:
-        new: list[frozenset[tuple[int, int]]] = []
-        existing = list(found)
-        for a in fresh:
-            for b in existing:
-                union = a | b
-                if union in found:
-                    continue
-                g = BipartiteSupportGraph(v.d, v.n, union)
-                if detect_negative_cycle(_face_digraph(v, g)) is not None:
-                    continue
-                closed = covector_closure(v, g)
-                if closed.arcs not in found:
-                    found[closed.arcs] = closed
-                    new.append(closed.arcs)
-        fresh = new
-    return sorted(found.values(), key=lambda g: (len(g.arcs), g.sorted_arcs()))
+    nodes = {
+        (i, j): (i - 1, v.d + j - 1, v.entry(i, j)) for (i, j) in sorted(v.support().arcs)
+    }
+    empty: frozenset[tuple[int, int]] = frozenset()
+    seen = {empty}
+    stack = [(empty, _face_star(v, empty))]
+    found = []
+    while stack:
+        g, star = stack.pop()
+        covered = {j for _, j in g}
+        missing = next((j for j in range(1, v.n + 1) if j not in covered), None)
+        if missing is None:
+            found.append(g)
+        rest = [(a, rc) for a, rc in nodes.items() if a not in g]
+        for a, (r, c, w) in rest:
+            if missing is not None and a[1] != missing:
+                continue
+            if star[r][c] != w:
+                continue  # the face G+a is empty
+            # closure(G+a) read off S: for b outside G, S'[cb][rb] is
+            # S[cb][c] - w + S[r][rb] when that is smaller, and b is tight
+            # iff it equals -wb.
+            from_r = star[r]
+            closed = g.union(
+                b
+                for b, (rb, cb, wb) in rest
+                if (x := star[cb][c]) is not None
+                and (y := from_r[rb]) is not None
+                and x + y + wb == w
+            )
+            if closed not in seen:
+                seen.add(closed)
+                stack.append((closed, _tighten(star, r, c, w)))
+    graphs = [BipartiteSupportGraph(v.d, v.n, g) for g in found]
+    return sorted(graphs, key=lambda g: (len(g.arcs), g.sorted_arcs()))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ class FormatError(TropicalError, ValueError):
             loc.append(str(path))
         if field is not None:
             loc.append(f"field {field}")
-        prefix = " (".join(loc) + ")" if len(loc) == 2 else (loc[0] + ": " if loc else "")
         if len(loc) == 2:
             super().__init__(f"{loc[0]} ({loc[1]}): {message}")
         elif loc:

@@ -48,12 +48,19 @@ def dump_json(obj: Any) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write the full payload, then rename into place."""
+    """Write the full payload, then rename into place.
+
+    The file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask, instead of the 0600 of the temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -98,8 +105,9 @@ def matrix_to_obj(m: TropicalMatrix) -> dict:
 
 
 def parse_point_config(obj: Any, path=None) -> PointConfig:
+    m = parse_matrix(obj, path)
     try:
-        return PointConfig(parse_matrix(obj, path))
+        return PointConfig(m)
     except ValueError as exc:
         raise FormatError(str(exc), path=path, field="entries")
 
@@ -116,6 +124,7 @@ def parse_digraph(obj: Any, path=None) -> WeightedDigraph:
     if not isinstance(arcs_raw, list):
         raise FormatError("arcs must be a list", path=path, field="arcs")
     arcs = {}
+    seen = set()
     for t, a in enumerate(arcs_raw, start=1):
         i = _require(a, "from", path)
         j = _require(a, "to", path)
@@ -126,6 +135,9 @@ def parse_digraph(obj: Any, path=None) -> WeightedDigraph:
             raise FormatError(
                 f"arc ({i},{j}) out of range for {k} nodes", path=path, field=f"arcs[{t}]"
             )
+        if (i, j) in seen:
+            raise FormatError(f"duplicate arc ({i},{j})", path=path, field=f"arcs[{t}]")
+        seen.add((i, j))
         if is_finite(w):
             arcs[(i, j)] = w
     return WeightedDigraph(k, arcs)

@@ -3,7 +3,8 @@
 Each oracle computes its answer by a different route than the library:
 shortest paths via the matrix power formula, feasibility via exhaustive
 simple-cycle enumeration, subdivisions via the lifted lower hull, cone
-membership via residuation, and connectivity via networkx.
+membership via residuation, connectivity via networkx, and covector
+closures and enumeration by fresh Bellman-Ford rounds and pairwise unions.
 """
 
 from __future__ import annotations
@@ -15,12 +16,18 @@ import networkx as nx
 
 from wdpoly import (
     INF,
+    BipartiteSupportGraph,
+    CapabilityError,
+    EmptyCellError,
     PointConfig,
     TropicalMatrix,
     WeightedDigraph,
+    detect_negative_cycle,
+    kleene_star,
     trop_mat_mul,
     tval,
 )
+from wdpoly.envelope import _face_digraph, _validate_subgraph
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +158,81 @@ def lower_hull_cells(v: PointConfig) -> set[frozenset[tuple[int, int]]]:
         if feasible:
             out.add(frozenset(tight))
     return out
+
+
+# ---------------------------------------------------------------------------
+# covector closure by rounds, enumeration by pairwise unions
+
+
+def covector_closure_by_rounds(v: PointConfig, g: BipartiteSupportGraph):
+    """Smallest covector graph containing G.
+
+    Iteratively adds every support arc lying on a zero-weight cycle of
+    the face digraph; fails if the face is empty.
+    """
+    _validate_subgraph(v, g)
+    support = v.support().arcs
+    current = set(g.arcs)
+    while True:
+        wg = _face_digraph(v, BipartiteSupportGraph(v.d, v.n, frozenset(current)))
+        cyc = detect_negative_cycle(wg)
+        if cyc is not None:
+            raise EmptyCellError(f"face is empty: negative cycle {cyc}")
+        star = kleene_star(wg)
+        added = False
+        for (i, j) in support - current:
+            back = star.entry(v.d + j, i)
+            if back is not INF and v.entry(i, j) + back == 0:
+                current.add((i, j))
+                added = True
+        if not added:
+            return BipartiteSupportGraph(v.d, v.n, frozenset(current))
+
+
+def enumerate_covector_graphs_by_unions(
+    v: PointConfig, *, candidate_bound: int = 1_000_000
+) -> list[BipartiteSupportGraph]:
+    """All covector graphs of V, canonically ordered.
+
+    Seeds with the closures of every feasible degree-1 column selection
+    (these include all inclusion-minimal graphs of full-dimensional
+    cells), then saturates under pairwise union followed by closure.
+    """
+    supports = [v.column_support(j) for j in range(1, v.n + 1)]
+    total = 1
+    for s in supports:
+        total *= len(s)
+        if total > candidate_bound:
+            raise CapabilityError(
+                f"cell enumeration would scan more than {candidate_bound} seeds"
+            )
+    found: dict[frozenset[tuple[int, int]], BipartiteSupportGraph] = {}
+    for choice in itertools.product(*[sorted(s) for s in supports]):
+        g = BipartiteSupportGraph(
+            v.d, v.n, frozenset((i, j) for j, i in enumerate(choice, start=1))
+        )
+        if detect_negative_cycle(_face_digraph(v, g)) is not None:
+            continue
+        closed = covector_closure_by_rounds(v, g)
+        found.setdefault(closed.arcs, closed)
+    fresh = list(found)
+    while fresh:
+        new: list[frozenset[tuple[int, int]]] = []
+        existing = list(found)
+        for a in fresh:
+            for b in existing:
+                union = a | b
+                if union in found:
+                    continue
+                g = BipartiteSupportGraph(v.d, v.n, union)
+                if detect_negative_cycle(_face_digraph(v, g)) is not None:
+                    continue
+                closed = covector_closure_by_rounds(v, g)
+                if closed.arcs not in found:
+                    found[closed.arcs] = closed
+                    new.append(closed.arcs)
+        fresh = new
+    return sorted(found.values(), key=lambda g: (len(g.arcs), g.sorted_arcs()))
 
 
 # ---------------------------------------------------------------------------

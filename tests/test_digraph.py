@@ -122,6 +122,11 @@ def test_membership_and_tight_set():
     assert tight == {(2, 1), (2, 2), (3, 1)}
     bad, _ = membership(W_EX, [10, 0, 0])
     assert not bad
+    # coordinates are exact and finite
+    with pytest.raises(TypeError):
+        membership(W_EX, [0.0, -1, 3])
+    with pytest.raises(DomainError):
+        membership(W_EX, [0, INF, 3])
 
 
 def test_star_columns_lie_in_the_polyhedron():

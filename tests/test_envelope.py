@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdpoly import (
     INF,
@@ -23,7 +25,12 @@ from wdpoly import (
     regular_subdivision,
 )
 
-from oracles import lower_hull_cells, random_config
+from oracles import (
+    covector_closure_by_rounds,
+    enumerate_covector_graphs_by_unions,
+    lower_hull_cells,
+    random_config,
+)
 
 # three points in the plane, two of them on the boundary of finiteness
 V3 = PointConfig.make([[0, 0, 0], [1, 1, "inf"], [0, 2, "inf"]])
@@ -189,7 +196,46 @@ def test_enumeration_is_closed_and_deduplicated():
     seen = set()
     for g in graphs:
         assert is_covector_graph(V6, g)
+        assert all(g.col_neighbors(j) for j in range(1, V6.n + 1))
         assert g.arcs not in seen
         seen.add(g.arcs)
     # closure of any feasible seed appears in the catalog
     assert covector_closure(V6, G(3, 2, [(1, 1), (3, 2)])).arcs in seen
+
+
+@st.composite
+def _config_and_selections(draw):
+    """d <= 3, n <= 4; small integers make ties common, INF makes sparse supports."""
+    d = draw(st.integers(1, 3))
+    cols = draw(
+        st.lists(
+            st.lists(st.one_of(st.integers(-2, 2), st.just(INF)), min_size=d, max_size=d)
+            .filter(lambda c: any(x is not INF for x in c)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    v = PointConfig.make([[c[i] for c in cols] for i in range(d)])
+    support = sorted(v.support().arcs)
+    picks = draw(st.lists(st.sets(st.sampled_from(support)), min_size=1, max_size=4))
+    return v, picks
+
+
+def _closure_or_empty(closure, v, arcs):
+    try:
+        return closure(v, BipartiteSupportGraph(v.d, v.n, frozenset(arcs))).arcs
+    except EmptyCellError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_and_selections())
+def test_walk_matches_the_union_saturation_oracle(case):
+    v, picks = case
+    assert enumerate_covector_graphs(v) == enumerate_covector_graphs_by_unions(v)
+    for arcs in picks:
+        closed = _closure_or_empty(covector_closure_by_rounds, v, arcs)
+        assert _closure_or_empty(covector_closure, v, arcs) == closed
+        assert is_covector_graph(v, BipartiteSupportGraph(v.d, v.n, frozenset(arcs))) == (
+            closed == arcs
+        )

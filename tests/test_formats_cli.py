@@ -1,6 +1,8 @@
 """JSON formats, DOT/SVG emission and the command line."""
 
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -59,6 +61,11 @@ def test_matrix_parse_errors():
     with pytest.raises(FormatError):
         # JSON floats are rejected; exactness requires strings or ints
         fmt.parse_matrix({"rows": 1, "cols": 1, "entries": [[0.5]]})
+    # a point configuration reports the entry's location once
+    with pytest.raises(FormatError) as err:
+        fmt.parse_point_config({"rows": 1, "cols": 1, "entries": [["x"]]}, "p.json")
+    assert err.value.field == "entries[1]"
+    assert str(err.value).startswith("p.json (field entries[1]): bad rational")
 
 
 def test_digraph_round_trip():
@@ -73,6 +80,11 @@ def test_digraph_parse_errors():
         fmt.parse_digraph({"nodes": 2, "arcs": [{"from": 1, "to": 5, "w": "0"}]})
     with pytest.raises(FormatError):
         fmt.parse_digraph({"nodes": 0, "arcs": []})
+    with pytest.raises(FormatError) as err:
+        fmt.parse_digraph(
+            {"nodes": 2, "arcs": [{"from": 1, "to": 2, "w": "0"}, {"from": 1, "to": 2, "w": "-1"}]}
+        )
+    assert err.value.field == "arcs[2]"
 
 
 def test_support_graph_round_trip():
@@ -98,6 +110,9 @@ def test_write_atomic(tmp_path):
     assert target.read_text(encoding="utf-8") == "payload\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
 # ---------------------------------------------------------------------------
