@@ -64,6 +64,7 @@ from .errors import (
     InfeasibleError,
     ShapeError,
     TropicalError,
+    ValueTypeError,
 )
 from .matrix import TropicalDetResult, TropicalMatrix, is_generic, trop_det, trop_mat_mul
 from .semiring import INF, Infinity, TVal, is_finite, tadd, tmul, tsum, tval

@@ -206,7 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if cell_arg:
             p.add_argument("cell", help="covector graph JSON file")
         if point_arg:
-            p.add_argument("point", help="comma-separated coordinates, e.g. 0,1/2,inf")
+            p.add_argument(
+                "point",
+                help="comma-separated coordinates, e.g. 0,1/2,inf; "
+                "put a point with a negative first coordinate after --",
+            )
             p.add_argument(
                 "--system",
                 action="store_true",

@@ -21,7 +21,6 @@ from .envelope import (
     CovectorGraph,
     PointConfig,
     enumerate_covector_graphs,
-    face_projection_matrix,
     interior_point_of_face,
 )
 from .errors import CapabilityError, DomainError, ShapeError
@@ -105,10 +104,6 @@ class ProjectivePoint:
         return len(self.support()) == self.d
 
 
-def _col_support(u: Sequence[TVal]) -> frozenset[int]:
-    return frozenset(i for i, c in enumerate(u, start=1) if c is not INF)
-
-
 def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> bool:
     """Whether z lies in the compactified i-th sector of apex u.
 
@@ -125,7 +120,7 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
     k = frozenset(range(1, z.d + 1)) - z.support()
     if i in k:
         return True
-    if k & _col_support(u):
+    if any(u[l - 1] is not INF for l in k):
         return False
     zi = z.coords[i - 1]
     ui = u[i - 1]
@@ -244,20 +239,7 @@ class CellRecord:
     stratum: frozenset[int]
 
     def tuple_string(self) -> str:
-        parts = []
-        wide = self.graph.n > 9
-        for i in range(1, self.graph.d + 1):
-            if i in self.stratum:
-                parts.append("•")
-                continue
-            cols = self.graph.row_neighbors(i)
-            if not cols:
-                parts.append("-")
-            elif wide:
-                parts.append("|".join(str(c) for c in cols))
-            else:
-                parts.append("".join(str(c) for c in cols))
-        return "(" + ",".join(parts) + ")"
+        return self.graph.tuple_string(self.stratum)
 
     def sort_key(self):
         return (
@@ -269,14 +251,12 @@ class CellRecord:
 
 
 def _is_bounded(v: PointConfig, g: CovectorGraph) -> bool:
-    """Bounded mod translation iff the projected digraph is strongly connected."""
-    m = face_projection_matrix(v, g)
-    arcs = [
-        (i, j)
-        for i in range(1, v.d + 1)
-        for j in range(1, v.d + 1)
-        if i != j and is_finite(m.entry(i, j))
-    ]
+    """Bounded mod translation iff the projected digraph is strongly connected.
+
+    That digraph has the arc (i, l) iff the entry (i, l) of V (x) V[G] is
+    finite, i.e. iff some column j has v_ij finite and (l, j) in G.
+    """
+    arcs = [(i, l) for (l, j) in g.arcs for i in v.column_support(j) if i != l]
     return len(strong_components(v.d, arcs)) == 1
 
 
@@ -328,13 +308,10 @@ def cell_sample_point(v: PointConfig, cell: CellRecord) -> tuple[TVal, ...]:
                 for i in range(1, v.d + 1)
             ]
             return tuple(coords)
-        row_pos = {r: t for t, r in enumerate(lab.row_labels, start=1)}
-        col_pos = {c: t for t, c in enumerate(lab.col_labels, start=1)}
-        local = BipartiteSupportGraph(
-            len(lab.row_labels),
-            len(lab.col_labels),
-            frozenset((row_pos[i], col_pos[j]) for (i, j) in cell.graph.arcs),
+        arcs = frozenset(
+            a for a, orig in lab.original_arcs().items() if orig in cell.graph.arcs
         )
+        local = BipartiteSupportGraph(len(lab.row_labels), len(lab.col_labels), arcs)
         y, _ = interior_point_of_face(lab.config, local)
         coords = [INF] * v.d
         for r, val in zip(lab.row_labels, y):
@@ -601,6 +578,13 @@ class LabeledConfig:
     col_labels: tuple[int, ...]
     config: PointConfig | None
 
+    def original_arcs(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each support arc of ``config`` mapped to its original labels."""
+        return {
+            (i, j): (self.row_labels[i - 1], self.col_labels[j - 1])
+            for (i, j) in self.config.support().arcs
+        }
+
 
 def boundary_matrix(v: PointConfig, z: Iterable[int]) -> LabeledConfig:
     """The configuration induced on the stratum where the rows z are infinite.
@@ -653,11 +637,9 @@ def projective_decomposition(
                     )
                 )
                 continue
+            original = lab.original_arcs()
             for local in enumerate_cells(lab.config, candidate_bound=candidate_bound):
-                mapped = frozenset(
-                    (lab.row_labels[i - 1], lab.col_labels[j - 1])
-                    for (i, j) in local.graph.arcs
-                )
+                mapped = frozenset(original[a] for a in local.graph.arcs)
                 out.append(
                     CellRecord(
                         graph=BipartiteSupportGraph(v.d, v.n, mapped),

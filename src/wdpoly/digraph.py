@@ -299,32 +299,32 @@ def cycle_weight(w: WeightedDigraph, cycle: Sequence[int]) -> Fraction:
 def kleene_star(w: WeightedDigraph) -> TropicalMatrix:
     """All-pairs shortest path matrix W*; requires no negative cycle.
 
-    Computed by k rounds of Bellman-Ford relaxation per source; the
-    tropical power formula serves as an independent oracle in the tests.
+    One Floyd-Warshall pass over rows, with None for an infinite distance.
+    A negative cycle makes the diagonal entry of its highest-numbered node
+    negative after that node's pivot; only then does Bellman-Ford run, to
+    find the witness.  The tropical power formula serves as an independent
+    oracle in the tests.
     """
-    cyc = detect_negative_cycle(w)
-    if cyc is not None:
-        raise InfeasibleError(cyc)
     k = w.k
-    arcs = list(w.arcs.items())
-    rows = []
-    for s in range(1, k + 1):
-        dist: dict[int, TVal] = {v: INF for v in range(1, k + 1)}
-        dist[s] = Fraction(0)
-        for _ in range(k):
-            changed = False
-            for (i, j), wt in arcs:
-                di = dist[i]
-                if di is INF:
-                    continue
-                cand = di + wt
-                if cand < dist[j]:
-                    dist[j] = cand
-                    changed = True
-            if not changed:
-                break
-        rows.append([dist[v] for v in range(1, k + 1)])
-    return TropicalMatrix.make(rows)
+    dist: list[list] = [[None] * k for _ in range(k)]
+    for a in range(k):
+        dist[a][a] = Fraction(0)
+    for (i, j), wt in w.arcs.items():
+        if i != j or wt < 0:  # a loop matters only below the zero diagonal
+            dist[i - 1][j - 1] = wt
+    for m in range(k):
+        reach = [(b, x) for b, x in enumerate(dist[m]) if x is not None]
+        for row in dist:
+            to_m = row[m]
+            if to_m is None:
+                continue
+            for b, x in reach:
+                cand = to_m + x
+                if row[b] is None or cand < row[b]:
+                    row[b] = cand
+        if dist[m][m] < 0:
+            raise InfeasibleError(detect_negative_cycle(w))
+    return TropicalMatrix.make([[INF if x is None else x for x in row] for row in dist])
 
 
 def equality_partition(w: WeightedDigraph) -> NodePartition:
@@ -334,25 +334,15 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
     i.e. w*_ij = -w*_ji < inf.  The block count equals dim Q(W).
     """
     star = kleene_star(w)
-    parent = list(range(w.k + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, w.k + 1):
-        for j in range(i + 1, w.k + 1):
-            a, b = star.entry(i, j), star.entry(j, i)
-            if a is not INF and b is not INF and a + b == 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    comps: dict[int, list[int]] = {}
-    for v in range(1, w.k + 1):
-        comps.setdefault(find(v), []).append(v)
-    return NodePartition.make(w.k, comps.values())
+    pairs = [
+        (i, j)
+        for i in range(1, w.k + 1)
+        for j in range(i + 1, w.k + 1)
+        if (a := star.entry(i, j)) is not INF
+        and (b := star.entry(j, i)) is not INF
+        and a + b == 0
+    ]
+    return NodePartition.make(w.k, weak_components(w.k, pairs))
 
 
 # ---------------------------------------------------------------------------

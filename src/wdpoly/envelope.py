@@ -110,13 +110,19 @@ class BipartiteSupportGraph:
                 out.append((rows, cols))
         return out
 
-    def tuple_string(self) -> str:
-        """Human rendering by rows, e.g. ``(13,2,2)``; ``-`` for an empty row."""
+    def tuple_string(self, stratum: Iterable[int] = ()) -> str:
+        """Human rendering by rows, e.g. ``(13,2,2)``.
+
+        A row is ``-`` when it has no arc and ``•`` when it is in the
+        stratum of rows sent to infinity.
+        """
         parts = []
         wide = self.n > 9
         for i in range(1, self.d + 1):
             cols = self.row_neighbors(i)
-            if not cols:
+            if i in stratum:
+                parts.append("•")
+            elif not cols:
                 parts.append("-")
             elif wide:
                 parts.append("|".join(str(c) for c in cols))
@@ -267,7 +273,7 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
     is in G and infinite otherwise.
     """
     _validate_subgraph(v, g)
-    if detect_negative_cycle(_face_digraph(v, g)) is not None:
+    if _face_star(v, g.arcs) is None:
         raise EmptyCellError("face is empty")
     vg = TropicalMatrix.make(
         [
@@ -370,13 +376,14 @@ def regular_subdivision(
     """Maximal cells of the regular subdivision induced by the heights V.
 
     The maximal cells are exactly the inclusion-maximal covector graphs,
-    which label the minimal faces of the envelope.
+    which label the minimal faces of the envelope.  A face is minimal iff
+    its dimension is that of the lineality space, i.e. iff its graph has
+    as many weak components as the support.
     """
-    graphs = enumerate_covector_graphs(v, candidate_bound=candidate_bound)
-    maximal = [
-        g
-        for g in graphs
-        if not any(h is not g and g.arcs < h.arcs for h in graphs)
+    minimal = v.support().weak_component_count()
+    cells = [
+        SubdivisionCell(g.arcs, _subdivision_dimension(g))
+        for g in enumerate_covector_graphs(v, candidate_bound=candidate_bound)
+        if g.weak_component_count() == minimal
     ]
-    cells = [SubdivisionCell(g.arcs, _subdivision_dimension(g)) for g in maximal]
     return sorted(cells, key=lambda c: tuple(sorted(c.vertices)))

@@ -15,6 +15,10 @@ class CapabilityError(TropicalError):
     """An explicit size bound was exceeded; the answer was not attempted."""
 
 
+class ValueTypeError(TropicalError, TypeError):
+    """A value that is not an exact tropical value, such as a float or a bool."""
+
+
 class InfeasibleError(TropicalError):
     """The polyhedron is empty; carries a negative cycle as witness."""
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .errors import ValueTypeError
+
 
 class Infinity:
     """The neutral element of min and the absorbing element of +.
@@ -60,14 +62,15 @@ def tval(x) -> TVal:
     """Coerce ``x`` to a tropical value (Fraction or INF).
 
     Accepts Fractions, ints, and strings like ``"-3"``, ``"5/7"`` or
-    ``"inf"``.  Floats are rejected to keep every computation exact.
+    ``"inf"``.  Floats, bools and other types raise ``ValueTypeError``, so
+    every computation stays exact.
     """
     if isinstance(x, Infinity):
         return INF
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise TypeError("boolean is not a tropical value")
+        raise ValueTypeError("boolean is not a tropical value")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -76,8 +79,8 @@ def tval(x) -> TVal:
             return INF
         return Fraction(s)
     if isinstance(x, float):
-        raise TypeError("floating point weights are not supported; use exact rationals")
-    raise TypeError(f"cannot interpret {x!r} as a tropical value")
+        raise ValueTypeError("floating point weights are not supported; use exact rationals")
+    raise ValueTypeError(f"cannot interpret {x!r} as a tropical value")
 
 
 def is_finite(v: TVal) -> bool:

@@ -3,8 +3,9 @@
 Each oracle computes its answer by a different route than the library:
 shortest paths via the matrix power formula, feasibility via exhaustive
 simple-cycle enumeration, subdivisions via the lifted lower hull, cone
-membership via residuation, connectivity via networkx, and covector
-closures and enumeration by fresh Bellman-Ford rounds and pairwise unions.
+membership via residuation, connectivity via networkx, covector
+closures and enumeration by fresh Bellman-Ford rounds and pairwise unions,
+and cell boundedness via the projection matrix of the face.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from wdpoly import (
     TropicalMatrix,
     WeightedDigraph,
     detect_negative_cycle,
+    face_projection_matrix,
     kleene_star,
     trop_mat_mul,
     tval,
 )
+from wdpoly.digraph import strong_components
 from wdpoly.envelope import _face_digraph, _validate_subgraph
 
 
@@ -233,6 +236,22 @@ def enumerate_covector_graphs_by_unions(
                     new.append(closed.arcs)
         fresh = new
     return sorted(found.values(), key=lambda g: (len(g.arcs), g.sorted_arcs()))
+
+
+def bounded_by_projection(v: PointConfig, g: BipartiteSupportGraph) -> bool:
+    """Whether the torus cell X_G is bounded modulo translation.
+
+    Forms the projection V (x) V[G] of the face and asks whether the
+    digraph of its finite off-diagonal entries is strongly connected.
+    """
+    m = face_projection_matrix(v, g)
+    arcs = [
+        (i, l)
+        for i in range(1, v.d + 1)
+        for l in range(1, v.d + 1)
+        if i != l and m.entry(i, l) is not INF
+    ]
+    return len(strong_components(v.d, arcs)) == 1
 
 
 # ---------------------------------------------------------------------------

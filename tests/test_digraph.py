@@ -84,6 +84,9 @@ def test_kleene_star_matches_power_oracle():
     while done < 60:
         w = random_digraph(rng, rng.randint(1, 5), lo=-2, hi=5)
         if detect_negative_cycle(w) is not None:
+            with pytest.raises(InfeasibleError) as exc:
+                kleene_star(w)
+            assert cycle_weight(w, exc.value.cycle) < 0
             continue
         assert kleene_star(w) == kleene_by_powers(w)
         done += 1

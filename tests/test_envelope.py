@@ -17,6 +17,7 @@ from wdpoly import (
     cell_dimension,
     covector_closure,
     envelope_digraph,
+    enumerate_cells,
     enumerate_covector_graphs,
     face_projection_matrix,
     interior_point_of_face,
@@ -26,6 +27,7 @@ from wdpoly import (
 )
 
 from oracles import (
+    bounded_by_projection,
     covector_closure_by_rounds,
     enumerate_covector_graphs_by_unions,
     lower_hull_cells,
@@ -233,6 +235,9 @@ def _closure_or_empty(closure, v, arcs):
 def test_walk_matches_the_union_saturation_oracle(case):
     v, picks = case
     assert enumerate_covector_graphs(v) == enumerate_covector_graphs_by_unions(v)
+    for cell in enumerate_cells(v):
+        assert cell.bounded == bounded_by_projection(v, cell.graph)
+    assert {c.vertices for c in regular_subdivision(v)} == lower_hull_cells(v)
     for arcs in picks:
         closed = _closure_or_empty(covector_closure_by_rounds, v, arcs)
         assert _closure_or_empty(covector_closure, v, arcs) == closed

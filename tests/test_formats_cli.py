@@ -199,6 +199,10 @@ def test_cli_member_tcone(tmp_path, capsys):
     assert run(["member", path, "0,5,0"]) == 1
     second = json.loads(capsys.readouterr().out)
     assert second["member"] is False
+    # a point with a negative first coordinate follows "--"
+    assert run(["member", path, "--", "-1,0,0"]) == 0
+    third = json.loads(capsys.readouterr().out)
+    assert third["member"] is True
 
 
 def test_cli_member_halfspace(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wdpoly import INF, Infinity, is_finite, tadd, tmul, tsum, tval
+from wdpoly import INF, Infinity, TropicalError, is_finite, tadd, tmul, tsum, tval
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=12
@@ -24,8 +24,9 @@ def test_tval_accepts_ints_fractions_strings():
 
 
 def test_tval_rejects_floats_and_bools():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as exc:
         tval(0.5)
+    assert isinstance(exc.value, TropicalError)
     with pytest.raises(TypeError):
         tval(True)
     with pytest.raises(TypeError):
