@@ -217,18 +217,20 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="treat the input as a halfspace system instead of a matrix",
             )
         p.add_argument("-o", "--output", help="output path (default stdout)")
-        p.add_argument(
-            "--bound",
-            type=int,
-            default=1_000_000,
-            help="cell enumeration candidate bound",
-        )
-        p.add_argument(
-            "--node-bound",
-            type=int,
-            default=10,
-            help="node bound for face lattice enumeration",
-        )
+        if name in ("cells", "subdivision", "pure", "signed", "projective"):
+            p.add_argument(
+                "--bound",
+                type=int,
+                default=1_000_000,
+                help="cell enumeration candidate bound",
+            )
+        if name == "faces":
+            p.add_argument(
+                "--node-bound",
+                type=int,
+                default=10,
+                help="node bound for face lattice enumeration",
+            )
         p.set_defaults(handler=handler)
         return p
 

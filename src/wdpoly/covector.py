@@ -136,6 +136,25 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
 # covectors of points and tropical cone membership
 
 
+def _covector(v: PointConfig, pt: Sequence[TVal]) -> CovectorGraph:
+    """The covector graph of any point: (i, j) iff pt lies in closed sector i of apex j.
+
+    A column whose support meets an infinite coordinate of pt is seen
+    exactly from those rows; any other column from its argmin rows of
+    v_ij - pt_i.
+    """
+    arcs = set()
+    for j in range(1, v.n + 1):
+        supp = [i for i in range(1, v.d + 1) if v.entry(i, j) is not INF]
+        rows = [i for i in supp if pt[i - 1] is INF]
+        if not rows:
+            vals = [v.entry(i, j) - pt[i - 1] for i in supp]
+            best = min(vals)
+            rows = [i for i, val in zip(supp, vals) if val == best]
+        arcs.update((i, j) for i in rows)
+    return BipartiteSupportGraph(v.d, v.n, frozenset(arcs))
+
+
 def covector_of_point(v: PointConfig, x: Sequence) -> CovectorGraph:
     """The covector graph of a finite point: per column, the argmin rows."""
     pt = [tval(q) for q in x]
@@ -143,22 +162,7 @@ def covector_of_point(v: PointConfig, x: Sequence) -> CovectorGraph:
         raise ShapeError(f"point has length {len(pt)}, configuration has d={v.d}")
     if any(c is INF for c in pt):
         raise DomainError("covector_of_point needs a finite point")
-    arcs = set()
-    for j in range(1, v.n + 1):
-        best: TVal = INF
-        rows: list[int] = []
-        for i in range(1, v.d + 1):
-            vij = v.entry(i, j)
-            if vij is INF:
-                continue
-            val = vij - pt[i - 1]
-            if val < best:
-                best = val
-                rows = [i]
-            elif not (best < val):
-                rows.append(i)
-        arcs.update((i, j) for i in rows)
-    return BipartiteSupportGraph(v.d, v.n, frozenset(arcs))
+    return _covector(v, pt)
 
 
 def tcone_witness(v: PointConfig, z: ProjectivePoint) -> tuple[TVal, ...]:
@@ -184,39 +188,16 @@ def tcone_witness(v: PointConfig, z: ProjectivePoint) -> tuple[TVal, ...]:
 def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TVal, ...]]:
     """Whether z lies in the tropical span of the columns of V.
 
-    Uses the sector criterion: every index in the support of z must see
-    some column whose support is contained in supp(z) and whose sector at
-    that index contains z.  The returned multipliers reproduce z as a
-    tropical combination exactly when the verdict is positive.
+    Uses the sector criterion: every index in the support of z must lie
+    in the closed sector of some apex at that index, i.e. every finite
+    coordinate is a row with an arc in the covector graph of z.  The
+    returned multipliers reproduce z as a tropical combination exactly
+    when the verdict is positive.
     """
     if z.d != v.d:
         raise ShapeError("point dimension does not match the configuration")
-    supp_z = z.support()
-    col_supports = [v.column_support(j) for j in range(1, v.n + 1)]
-    admissible = [j for j in range(1, v.n + 1) if col_supports[j - 1] <= supp_z]
-    ok = True
-    for i in supp_z:
-        hit = False
-        for j in admissible:
-            if i not in col_supports[j - 1]:
-                continue
-            # sector inequalities within the stratum of supp(z)
-            vij = v.entry(i, j)
-            zi = z.coords[i - 1]
-            good = True
-            for l in col_supports[j - 1]:
-                if l == i:
-                    continue
-                if not (z.coords[l - 1] - zi <= v.entry(l, j) - vij):
-                    good = False
-                    break
-            if good:
-                hit = True
-                break
-        if not hit:
-            ok = False
-            break
-    return ok, tcone_witness(v, z)
+    rows = {i for (i, _) in _covector(v, z.coords).arcs}
+    return z.support() <= rows, tcone_witness(v, z)
 
 
 # ---------------------------------------------------------------------------
@@ -402,43 +383,22 @@ def signed_graph(
     return BipartiteSupportGraph(psi.d, psi.n, frozenset(arcs))
 
 
+def _covers_columns(arcs: frozenset[tuple[int, int]], psi: BipartiteSupportGraph) -> bool:
+    """Whether every column keeps an arc inside psi."""
+    return len({j for (_, j) in arcs & psi.arcs}) == psi.n
+
+
 def halfspace_membership(h: HalfspaceSystem, x: Sequence) -> bool:
-    """Whether the finite point x lies in the intersection of the halfspaces.
+    """Whether the point x of TP^{d-1} lies in the intersection of the halfspaces.
 
-    Per column, the best selected sector must do at least as well as the
-    best unselected one: max over psi of (x_i - v_ij) >= max over the
-    complement.
+    Per column, x must lie in the closed sector of some selected row:
+    its covector graph keeps an arc inside psi in every column.  The
+    point may have infinite coordinates, but not only those.
     """
-    v = h.config
-    pt = [tval(q) for q in x]
-    if len(pt) != v.d:
+    z = ProjectivePoint.make(x)
+    if z.d != h.config.d:
         raise ShapeError("point dimension mismatch")
-    return _membership_against(v, h.psi, pt)
-
-
-def _membership_against(
-    v: PointConfig, psi: BipartiteSupportGraph, pt: Sequence[TVal]
-) -> bool:
-    for j in range(1, v.n + 1):
-        chosen = psi.col_neighbors(j)
-        if not chosen:
-            return False
-        inside = max(
-            (pt[i - 1] - v.entry(i, j) for i in chosen if pt[i - 1] is not INF),
-            default=None,
-        )
-        rest = [
-            pt[i - 1] - v.entry(i, j)
-            for i in v.column_support(j)
-            if i not in chosen and pt[i - 1] is not INF
-        ]
-        if inside is None:
-            if rest:
-                return False
-            continue
-        if rest and max(rest) > inside:
-            return False
-    return True
+    return _covers_columns(_covector(h.config, z.coords).arcs, h.psi)
 
 
 def cells_of_halfspace(
@@ -449,21 +409,11 @@ def cells_of_halfspace(
     A cell belongs iff no column node becomes isolated after restricting
     its covector graph to the selected arcs.
     """
-    return _cells_against(
-        h.config, h.psi, enumerate_cells(h.config, candidate_bound=candidate_bound)
-    )
-
-
-def _cells_against(
-    v: PointConfig, psi: BipartiteSupportGraph, cells: Sequence[CellRecord]
-) -> list[CellRecord]:
-    out = []
-    for c in cells:
-        inter = c.graph.arcs & psi.arcs
-        cols = {j for (_, j) in inter}
-        if len(cols) == v.n:
-            out.append(c)
-    return out
+    return [
+        c
+        for c in enumerate_cells(h.config, candidate_bound=candidate_bound)
+        if _covers_columns(c.graph.arcs, h.psi)
+    ]
 
 
 def is_pure(
@@ -491,9 +441,11 @@ def signed_cells(
     """Every inversion of the system, keyed by its sign string.
 
     For each sign vector the minus columns flip to the complementary
-    sectors; the value lists the torus cells (by the isolation
-    criterion) followed by the boundary-stratum cells (by closed-sector
-    membership of a relative-interior sample point).
+    sectors; the value lists the cells, torus cells first, whose closed
+    graph keeps an arc inside the flipped selection in every column.  The
+    closed graph of a cell on the stratum K adds to its covector graph
+    the support arcs of the rows in K: a relative-interior point has the
+    cell's graph on the surviving columns and lies in every sector i in K.
     """
     v = h.config
     if v.n > sign_bound:
@@ -501,30 +453,15 @@ def signed_cells(
             f"signed cell enumeration is limited to {sign_bound} columns, got {v.n}"
         )
     support = v.support()
-    decomposition = projective_decomposition(v, candidate_bound=candidate_bound)
-    torus = [c for c in decomposition if not c.stratum]
-    boundary = [c for c in decomposition if c.stratum]
-    samples = {c: cell_sample_point(v, c) for c in boundary}
+    closed = [
+        (c, c.graph.arcs | {a for a in support.arcs if a[0] in c.stratum})
+        for c in projective_decomposition(v, candidate_bound=candidate_bound)
+    ]
     out: dict[str, list[CellRecord]] = {}
     for signs in itertools.product("+-", repeat=v.n):
         eps = SignVector.make(signs)
         psi_e = signed_graph(h.psi, eps, support)
-        if any(not psi_e.col_neighbors(j) for j in range(1, v.n + 1)):
-            out[str(eps)] = []
-            continue
-        cells = _cells_against(v, psi_e, torus)
-        for c in boundary:
-            z = ProjectivePoint.make(samples[c])
-            hit = all(
-                any(
-                    closed_sector_membership(z, v.v.col(j), i)
-                    for i in psi_e.col_neighbors(j)
-                )
-                for j in range(1, v.n + 1)
-            )
-            if hit:
-                cells.append(c)
-        out[str(eps)] = cells
+        out[str(eps)] = [c for c, arcs in closed if _covers_columns(arcs, psi_e)]
     return out
 
 

@@ -29,7 +29,7 @@ def render_value(v: TVal) -> str:
 def parse_value(raw: Any, *, path=None, field=None) -> TVal:
     try:
         return tval(raw)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"bad rational {raw!r}: {exc}", path=path, field=field)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ValueTypeError
+from .errors import DomainError, ValueTypeError
 
 
 class Infinity:
@@ -63,7 +63,8 @@ def tval(x) -> TVal:
 
     Accepts Fractions, ints, and strings like ``"-3"``, ``"5/7"`` or
     ``"inf"``.  Floats, bools and other types raise ``ValueTypeError``, so
-    every computation stays exact.
+    every computation stays exact; a string that is not a rational raises
+    ``DomainError``.
     """
     if isinstance(x, Infinity):
         return INF
@@ -77,7 +78,10 @@ def tval(x) -> TVal:
         s = x.strip()
         if s.lower() == "inf" or s == "∞":
             return INF
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"{x!r} is not a rational number") from None
     if isinstance(x, float):
         raise ValueTypeError("floating point weights are not supported; use exact rationals")
     raise ValueTypeError(f"cannot interpret {x!r} as a tropical value")

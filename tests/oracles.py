@@ -3,15 +3,17 @@
 Each oracle computes its answer by a different route than the library:
 shortest paths via the matrix power formula, feasibility via exhaustive
 simple-cycle enumeration, subdivisions via the lifted lower hull, cone
-membership via residuation, connectivity via networkx, covector
-closures and enumeration by fresh Bellman-Ford rounds and pairwise unions,
-and cell boundedness via the projection matrix of the face.
+membership via residuation, halfspace membership by comparing sector
+maxima, connectivity via networkx, covector closures and enumeration by
+fresh Bellman-Ford rounds and pairwise unions, and cell boundedness via
+the projection matrix of the face.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 import networkx as nx
 
@@ -30,6 +32,7 @@ from wdpoly import (
     tval,
 )
 from wdpoly.digraph import strong_components
+from wdpoly.semiring import TVal
 from wdpoly.envelope import _face_digraph, _validate_subgraph
 
 
@@ -299,6 +302,35 @@ def residuation_member(v: PointConfig, z) -> bool:
                 best = cand
         lam.append(best if best is not None else INF)
     return trop_combination(v, lam) == coords
+
+
+# ---------------------------------------------------------------------------
+# halfspace membership by comparing the selected and unselected maxima
+
+
+def membership_against(
+    v: PointConfig, psi: BipartiteSupportGraph, pt: Sequence[TVal]
+) -> bool:
+    for j in range(1, v.n + 1):
+        chosen = psi.col_neighbors(j)
+        if not chosen:
+            return False
+        inside = max(
+            (pt[i - 1] - v.entry(i, j) for i in chosen if pt[i - 1] is not INF),
+            default=None,
+        )
+        rest = [
+            pt[i - 1] - v.entry(i, j)
+            for i in v.column_support(j)
+            if i not in chosen and pt[i - 1] is not INF
+        ]
+        if inside is None:
+            if rest:
+                return False
+            continue
+        if rest and max(rest) > inside:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

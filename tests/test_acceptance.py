@@ -40,12 +40,12 @@ from wdpoly import (
     signed_cells,
     signed_graph,
 )
-from wdpoly.covector import _membership_against
 from wdpoly.envelope import envelope_digraph
 
 from oracles import (
     all_partitions,
     lower_hull_cells,
+    membership_against,
     nx_partition_qualifies,
     random_config,
     random_digraph,
@@ -270,7 +270,7 @@ def test_criterion_09_signed_cells():
         if not generic_pt:
             continue
         hits = sum(
-            1 for g in graphs.values() if _membership_against(V_SGN, g, pt)
+            1 for g in graphs.values() if membership_against(V_SGN, g, pt)
         )
         if hits != 1:
             ok = False

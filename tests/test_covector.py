@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdpoly import (
     INF,
@@ -32,7 +34,12 @@ from wdpoly import (
     tcone_membership,
 )
 
-from oracles import random_config, residuation_member, trop_combination
+from oracles import (
+    membership_against,
+    random_config,
+    residuation_member,
+    trop_combination,
+)
 
 # three apices in the plane, one with infinite coordinates
 V5 = PointConfig.make([[0, 0, 0], [1, 0, "inf"], [2, -1, "inf"]])
@@ -153,10 +160,15 @@ def test_grid_covectors_appear_in_the_catalog():
 def test_tcone_membership_matches_residuation_oracle():
     rng = random.Random(59)
     checked = 0
+    at_infinity = set()
     while checked < 400:
         v = random_config(rng, rng.randint(2, 3), rng.randint(1, 4))
         if rng.random() < 0.5:
-            lam = [Fraction(rng.randint(-3, 3)) for _ in range(v.n)]
+            # an infinite multiplier drops its column, so members reach the strata
+            lam = [
+                INF if rng.random() < 0.3 else Fraction(rng.randint(-3, 3))
+                for _ in range(v.n)
+            ]
             z = trop_combination(v, lam)
             if all(c is INF for c in z):
                 continue
@@ -172,7 +184,10 @@ def test_tcone_membership_matches_residuation_oracle():
         assert ok == residuation_member(v, point.coords)
         if ok:
             assert trop_combination(v, lam) == point.coords
+        if not point.is_finite():
+            at_infinity.add(ok)
         checked += 1
+    assert at_infinity == {True, False}
 
 
 def test_tcone_membership_golden():
@@ -198,6 +213,11 @@ def test_halfspace_membership():
     assert halfspace_membership(h, [1, 0])
     assert halfspace_membership(h, [0, 0])  # boundary is included
     assert not halfspace_membership(h, [0, 1])
+    # points at infinity follow the closed-sector rule
+    assert halfspace_membership(h, ["inf", 0])
+    assert not halfspace_membership(h, [0, "inf"])
+    with pytest.raises(DomainError):
+        halfspace_membership(h, ["inf", "inf"])
 
 
 def test_halfspace_system_validation():
@@ -247,6 +267,54 @@ def test_signed_cells_of_a_halfline():
     strat_minus = {tuple(sorted(c.stratum)) for c in table["-"]}
     assert (1,) in strat_plus and (1,) not in strat_minus
     assert (2,) in strat_minus and (2,) not in strat_plus
+
+
+@st.composite
+def _system_and_points(draw):
+    """d <= 3, n <= 4 with ties and INF entries, a selection psi, points with INF."""
+    d = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-2, 2), st.just(INF))
+    # a column of V and a point of TP^{d-1} both need a finite entry
+    vector = st.lists(entry, min_size=d, max_size=d).filter(
+        lambda c: any(x is not INF for x in c)
+    )
+    cols = draw(st.lists(vector, min_size=1, max_size=4))
+    v = PointConfig.make([[c[i] for c in cols] for i in range(d)])
+    psi = set()
+    for j in range(1, v.n + 1):
+        rows = sorted(v.column_support(j))
+        psi.update((i, j) for i in draw(st.sets(st.sampled_from(rows), min_size=1)))
+    points = draw(st.lists(vector, min_size=1, max_size=6))
+    return HalfspaceSystem.make(v, G(v.d, v.n, psi)), points
+
+
+def _closed_sectors_cover(v, psi, z):
+    """Per column, z lies in the closed sector of some row selected by psi."""
+    return all(
+        any(closed_sector_membership(z, v.v.col(j), i) for i in psi.col_neighbors(j))
+        for j in range(1, v.n + 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_system_and_points())
+def test_covector_rule_matches_closed_sectors(case):
+    h, points = case
+    v = h.config
+    for x in points:
+        z = ProjectivePoint.make(x)
+        assert halfspace_membership(h, x) == _closed_sectors_cover(v, h.psi, z)
+        if z.is_finite():
+            assert halfspace_membership(h, x) == membership_against(v, h.psi, z.coords)
+    # the former signed-cell test: a sample point of each cell, then closed sectors
+    table = signed_cells(h)
+    samples = [
+        (c, ProjectivePoint.make(cell_sample_point(v, c))) for c in projective_decomposition(v)
+    ]
+    for eps, cells in table.items():
+        psi_e = signed_graph(h.psi, SignVector.make(eps), v.support())
+        for c, z in samples:
+            assert (c in cells) == _closed_sectors_cover(v, psi_e, z)
 
 
 def test_tangent_digraph_golden():

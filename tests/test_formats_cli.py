@@ -216,6 +216,7 @@ def test_cli_member_halfspace(tmp_path, capsys):
     )
     assert run(["member", path, "1,0", "--system"]) == 0
     assert run(["member", path, "0,1", "--system"]) == 1
+    assert run(["member", path, "inf,0", "--system"]) == 0
 
 
 def test_cli_cells_and_output_file(tmp_path):
@@ -250,6 +251,8 @@ def test_cli_usage_and_format_errors(tmp_path, capsys):
     assert run(["kleene", str(bad)]) == 2
     missing = str(tmp_path / "nope.json")
     assert run(["kleene", missing]) == 2
+    good = write(tmp_path, "g.json", digraph_obj())
+    assert run(["kleene", good, "--bound", "5"]) == 2  # only enumerating verbs take it
     capsys.readouterr()
 
 

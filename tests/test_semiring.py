@@ -31,6 +31,10 @@ def test_tval_rejects_floats_and_bools():
         tval(True)
     with pytest.raises(TypeError):
         tval(None)
+    for text in ("abc", "1/0"):
+        with pytest.raises(ValueError) as exc:
+            tval(text)
+        assert isinstance(exc.value, TropicalError)
 
 
 def test_infinity_is_a_singleton():
