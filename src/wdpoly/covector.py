@@ -61,17 +61,8 @@ class Sector:
         return WeightedDigraph(d, arcs)
 
     def contains(self, x: Sequence) -> bool:
-        pt = [tval(q) for q in x]
-        if len(pt) != len(self.apex):
-            raise ShapeError("point dimension does not match the apex")
-        i = self.index
-        ui = self.apex[i - 1]
-        for l, ul in enumerate(self.apex, start=1):
-            if ul is INF or l == i:
-                continue
-            if not (pt[l - 1] - pt[i - 1] <= ul - ui):
-                return False
-        return True
+        """Whether x lies in the closed sector, points at infinity included."""
+        return closed_sector_membership(ProjectivePoint.make(x), self.apex, self.index)
 
 
 @dataclass(frozen=True)
@@ -115,6 +106,8 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
     u = tuple(tval(c) for c in u)
     if len(u) != z.d:
         raise ShapeError("apex dimension does not match the point")
+    if not 1 <= i <= z.d:
+        raise DomainError(f"sector index {i} is not in 1..{z.d}")
     if u[i - 1] is INF:
         raise DomainError(f"index {i} is not in the support of the apex")
     k = frozenset(range(1, z.d + 1)) - z.support()

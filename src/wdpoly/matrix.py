@@ -7,7 +7,9 @@ combinatorial notation; storage is a plain tuple of tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -97,56 +99,82 @@ def trop_mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(a.rows, b.cols, out)
 
 
+def _add_row(table: dict, row: Sequence[TVal]) -> dict:
+    """Add one row to an assignment table, which maps each column set (a
+    bitmask) to the least finite sum of a bijection from the rows so far
+    onto it and the number of bijections attaining that sum."""
+    out: dict[int, tuple[Fraction, int]] = {}
+    for mask, (val, cnt) in table.items():
+        for j, e in enumerate(row):
+            if e is INF or mask >> j & 1:
+                continue
+            key, w = mask | 1 << j, val + e
+            cur = out.get(key)
+            if cur is None or w < cur[0]:
+                out[key] = (w, cnt)
+            elif w == cur[0]:
+                out[key] = (w, cur[1] + cnt)
+    return out
+
+
 @dataclass(frozen=True)
 class TropicalDetResult:
+    """A tropical determinant; ``optimal_permutations`` is listed on first read."""
+
     value: TVal
-    optimal_permutations: frozenset[tuple[int, ...]]
     vanishes: bool
+    _rows: tuple[tuple[TVal, ...], ...] = field(repr=False)
+    _levels: tuple[dict, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def optimal_permutations(self) -> frozenset[tuple[int, ...]]:
+        """Every sigma attaining the value, sigma[i-1] the column of row i."""
+        k = len(self._rows)
+        if self.value is INF:
+            return frozenset(tuple(j + 1 for j in p) for p in itertools.permutations(range(k)))
+        # an optimal bijection is optimal on every row prefix: walk the levels down
+        paths = [((1 << k) - 1, ())]
+        for i in range(k, 0, -1):
+            here, below = self._levels[i], self._levels[i - 1]
+            paths = [
+                (m, (j + 1,) + tail)
+                for mask, tail in paths
+                for j, e in enumerate(self._rows[i - 1])
+                if mask >> j & 1 and (m := mask ^ 1 << j) in below
+                and below[m][0] + e == here[mask][0]
+            ]
+        return frozenset(tail for _, tail in paths)
 
 
 def trop_det(a: TropicalMatrix, *, perm_bound: int = 9) -> TropicalDetResult:
     """Tropical determinant: minimum over permutations of the diagonal sum.
 
-    The result lists every attaining permutation (as a tuple sigma with
-    sigma[i-1] the image of row i); it *vanishes* if the value is INF or
-    the minimum is attained at least twice.
+    An assignment table over column subsets grows one row at a time
+    (k * 2^(k-1) additions).  The result *vanishes* if the value is INF or
+    attained at least twice.  ``perm_bound`` caps k, because reading
+    ``optimal_permutations`` may list up to k! permutations.
     """
     if not a.is_square:
         raise ShapeError("tropical determinant needs a square matrix")
     k = a.rows
     if k > perm_bound:
-        raise CapabilityError(
-            f"tropical determinant by enumeration is limited to k <= {perm_bound}, got {k}"
-        )
-    best: TVal = INF
-    attaining: list[tuple[int, ...]] = []
-    for perm in itertools.permutations(range(k)):
-        w: TVal = tval(0)
-        for i, j in enumerate(perm):
-            w = tmul(w, a.entries[i][j])
-            if w is INF:
-                break
-        if w < best:
-            best = w
-            attaining = [tuple(j + 1 for j in perm)]
-        elif not (best < w):  # w == best, including both INF
-            attaining.append(tuple(j + 1 for j in perm))
-    opt = frozenset(attaining)
-    vanishes = best is INF or len(opt) >= 2
-    return TropicalDetResult(best, opt, vanishes)
+        raise CapabilityError(f"tropical determinant is limited to k <= {perm_bound}, got {k}")
+    levels = tuple(itertools.accumulate(a.entries, _add_row, initial={0: (Fraction(0), 1)}))
+    value, count = levels[-1].get((1 << k) - 1, (INF, 0))
+    return TropicalDetResult(value, count != 1, a.entries, levels)
 
 
 def is_generic(
     v: TropicalMatrix,
     *,
     submatrix_bound: int = 200_000,
-    perm_bound: int = 9,
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Whether no square submatrix has a vanishing tropical determinant.
 
-    Returns ``(True, None)`` or ``(False, (rows, cols))`` with a witness
-    submatrix.  Enumerates all square submatrices; a guard raises
-    CapabilityError when there are more than ``submatrix_bound`` of them.
+    Returns ``(True, None)`` or ``(False, (rows, cols))``, the first witness
+    by size, rows, columns.  The assignment table of k rows extends the one
+    of their first k-1 and holds all their k x k minors.  A guard raises
+    CapabilityError when there are more than ``submatrix_bound`` minors.
     """
     d, n = v.rows, v.cols
     total = sum(comb(d, k) * comb(n, k) for k in range(1, min(d, n) + 1))
@@ -154,10 +182,14 @@ def is_generic(
         raise CapabilityError(
             f"genericity test would enumerate {total} submatrices (bound {submatrix_bound})"
         )
+    tables = {(): {0: (Fraction(0), 1)}}
     for k in range(1, min(d, n) + 1):
+        prefixes, tables = tables, {}
+        col_sets = itertools.combinations(range(1, n + 1), k)
+        minors = [(cols, sum(1 << j - 1 for j in cols)) for cols in col_sets]
         for rows in itertools.combinations(range(1, d + 1), k):
-            for cols in itertools.combinations(range(1, n + 1), k):
-                res = trop_det(v.submatrix(rows, cols), perm_bound=perm_bound)
-                if res.vanishes:
+            table = tables[rows] = _add_row(prefixes[rows[:-1]], v.entries[rows[-1] - 1])
+            for cols, mask in minors:
+                if table.get(mask, (INF, 0))[1] != 1:  # INF or attained twice
                     return False, (rows, cols)
     return True, None

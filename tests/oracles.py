@@ -5,8 +5,9 @@ shortest paths via the matrix power formula, feasibility via exhaustive
 simple-cycle enumeration, subdivisions via the lifted lower hull, cone
 membership via residuation, halfspace membership by comparing sector
 maxima, connectivity via networkx, covector closures and enumeration by
-fresh Bellman-Ford rounds and pairwise unions, and cell boundedness via
-the projection matrix of the face.
+fresh Bellman-Ford rounds and pairwise unions, cell boundedness via the
+projection matrix of the face, and tropical determinants and genericity
+via all permutations of every square submatrix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from wdpoly import (
     tval,
 )
 from wdpoly.digraph import strong_components
-from wdpoly.semiring import TVal
+from wdpoly.semiring import TVal, tmul
 from wdpoly.envelope import _face_digraph, _validate_subgraph
 
 
@@ -331,6 +332,43 @@ def membership_against(
         if rest and max(rest) > inside:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# tropical determinants over all permutations, genericity over all minors
+
+
+def trop_det_by_permutations(a: TropicalMatrix):
+    """(value, optimal permutations, vanishes) by walking all k! permutations."""
+    k = a.rows
+    best: TVal = INF
+    attaining: list[tuple[int, ...]] = []
+    for perm in itertools.permutations(range(k)):
+        w: TVal = tval(0)
+        for i, j in enumerate(perm):
+            w = tmul(w, a.entries[i][j])
+            if w is INF:
+                break
+        if w < best:
+            best = w
+            attaining = [tuple(j + 1 for j in perm)]
+        elif not (best < w):  # w == best, including both INF
+            attaining.append(tuple(j + 1 for j in perm))
+    opt = frozenset(attaining)
+    vanishes = best is INF or len(opt) >= 2
+    return best, opt, vanishes
+
+
+def is_generic_by_minors(v: TropicalMatrix):
+    """``is_generic`` by one permutation walk per square submatrix."""
+    d, n = v.rows, v.cols
+    for k in range(1, min(d, n) + 1):
+        for rows in itertools.combinations(range(1, d + 1), k):
+            for cols in itertools.combinations(range(1, n + 1), k):
+                _, _, vanishes = trop_det_by_permutations(v.submatrix(rows, cols))
+                if vanishes:
+                    return False, (rows, cols)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ def test_sector_contains():
     assert s1.contains([0, 0, 0])
     assert s1.contains([0, 1, 1])  # apex lies in every sector
     assert not s1.contains([0, 2, 0])
+    # coordinate 1 at infinity: the closed sector 1 contains the point
+    assert s1.contains(["inf", 0, 0])
+    with pytest.raises(DomainError):
+        s1.contains(["inf", "inf", "inf"])
 
 
 def test_sector_digraph():
@@ -108,6 +112,10 @@ def test_closed_sector_membership_on_strata():
     fin = ProjectivePoint.make([0, 1, 0])
     assert closed_sector_membership(fin, u, 2)
     assert not closed_sector_membership(fin, u, 1)
+    # a sector index outside 1..d is refused, not read from the end of u
+    for bad in (3, 0, -1):
+        with pytest.raises(DomainError):
+            closed_sector_membership(ProjectivePoint.make([0, 5]), (0, 1), bad)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import is_generic_by_minors, trop_det_by_permutations
 from wdpoly import (
     INF,
     CapabilityError,
@@ -108,3 +111,35 @@ def test_is_generic_capability_bound():
     v = M([[0] * 12 for _ in range(12)])
     with pytest.raises(CapabilityError):
         is_generic(v, submatrix_bound=100)
+
+
+# entries in -2..2 over denominators 1..3, so ties are common, and INF
+# with probability 1/8
+_ENTRY = st.integers(0, 7).flatmap(
+    lambda t: st.just(INF) if t == 0 else st.integers(1, 3).flatmap(
+        lambda q: st.integers(-2 * q, 2 * q).map(lambda p: Fraction(p, q))
+    )
+)
+
+
+@st.composite
+def _matrices(draw, max_rows, max_cols, square=False):
+    d = draw(st.integers(1, max_rows))
+    n = d if square else draw(st.integers(1, max_cols))
+    return M(draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=d, max_size=d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(6, 6, square=True))
+def test_trop_det_matches_the_permutation_oracle(a):
+    value, opt, vanishes = trop_det_by_permutations(a)
+    res = trop_det(a)
+    assert res.value == value
+    assert res.vanishes == vanishes
+    assert res.optimal_permutations == opt
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(4, 5))
+def test_is_generic_matches_the_minor_oracle(v):
+    assert is_generic(v) == is_generic_by_minors(v)
