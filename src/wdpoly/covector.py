@@ -24,7 +24,10 @@ from .envelope import (
     interior_point_of_face,
 )
 from .errors import CapabilityError, DomainError, ShapeError
-from .semiring import INF, TVal, is_finite, tval
+from .semiring import INF, TVal, is_finite, tpoint
+
+# Torus strata and empty stratum graphs share one set: each frozenset() allocates.
+_EMPTY: frozenset = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +79,7 @@ class ProjectivePoint:
 
     @classmethod
     def make(cls, coords: Iterable) -> "ProjectivePoint":
-        raw = tuple(tval(c) for c in coords)
+        raw = tpoint(coords)
         shift = next((c for c in raw if c is not INF), None)
         if shift is None:
             raise DomainError("projective point needs at least one finite coordinate")
@@ -103,7 +106,7 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
     stratum the finite coordinates obey the sector inequalities with the
     indices in K dropped.
     """
-    u = tuple(tval(c) for c in u)
+    u = tpoint(u)
     if len(u) != z.d:
         raise ShapeError("apex dimension does not match the point")
     if not 1 <= i <= z.d:
@@ -150,7 +153,7 @@ def _covector(v: PointConfig, pt: Sequence[TVal]) -> CovectorGraph:
 
 def covector_of_point(v: PointConfig, x: Sequence) -> CovectorGraph:
     """The covector graph of a finite point: per column, the argmin rows."""
-    pt = [tval(q) for q in x]
+    pt = tpoint(x)
     if len(pt) != v.d:
         raise ShapeError(f"point has length {len(pt)}, configuration has d={v.d}")
     if any(c is INF for c in pt):
@@ -197,7 +200,7 @@ def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TV
 # cell records and enumeration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRecord:
     """One cell of a covector decomposition, possibly on a boundary stratum.
 
@@ -252,7 +255,7 @@ def enumerate_cells(
                 dimension=g.weak_component_count() - 1,
                 bounded=_is_bounded(v, g),
                 in_tcone=_in_tcone(g),
-                stratum=frozenset(),
+                stratum=_EMPTY,
             )
         )
     records.sort(key=CellRecord.sort_key)
@@ -462,7 +465,7 @@ def signed_cells(
 # tangent digraphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TangentDigraph:
     """Local orientation data at a cell of a halfspace system.
 
@@ -559,7 +562,7 @@ def projective_decomposition(
             if lab.config is None:
                 out.append(
                     CellRecord(
-                        graph=BipartiteSupportGraph(v.d, v.n, frozenset()),
+                        graph=BipartiteSupportGraph(v.d, v.n, _EMPTY),
                         dimension=v.d - len(zset) - 1,
                         bounded=(v.d - len(zset) == 1),
                         in_tcone=False,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     ShapeError,
 )
 from .matrix import TropicalMatrix
-from .semiring import INF, TVal, is_finite, tval
+from .semiring import INF, TVal, is_finite, tpoint, tval
 
 
 @dataclass(frozen=True)
@@ -251,6 +252,44 @@ def _contraction_acyclic(blocks: Sequence[tuple[int, ...]], arcs: Iterable[tuple
 # feasibility and shortest paths
 
 
+def _scaled(weights: Mapping) -> tuple[int, dict]:
+    """(L, each weight times L as an int), L the LCM of the denominators.
+
+    The shortest-path kernel only adds and compares these ints, which L > 0
+    keeps exact; a result becomes a Fraction only in a public value.
+    """
+    scale = lcm(*(x.denominator for x in weights.values()))
+    return scale, {a: x.numerator * (scale // x.denominator) for a, x in weights.items()}
+
+
+def _star(w: WeightedDigraph, arcs: Mapping[tuple[int, int], int]) -> list[list[int | None]]:
+    """All-pairs shortest distances over the int weights ``arcs`` on the nodes of W.
+
+    One Floyd-Warshall pass over rows, with None for an infinite distance.
+    A negative cycle makes its highest-numbered node's diagonal entry
+    negative at that node's pivot; only then does Bellman-Ford find W's witness.
+    """
+    dist: list[list] = [[None] * w.k for _ in range(w.k)]
+    for a in range(w.k):
+        dist[a][a] = 0
+    for (i, j), wt in arcs.items():
+        if i != j or wt < 0:  # a loop matters only below the zero diagonal
+            dist[i - 1][j - 1] = wt
+    for m in range(w.k):
+        reach = [(b, x) for b, x in enumerate(dist[m]) if x is not None]
+        for row in dist:
+            to_m = row[m]
+            if to_m is None:
+                continue
+            for b, x in reach:
+                cand = to_m + x
+                if row[b] is None or cand < row[b]:
+                    row[b] = cand
+        if dist[m][m] < 0:
+            raise InfeasibleError(detect_negative_cycle(w))
+    return dist
+
+
 def detect_negative_cycle(w: WeightedDigraph) -> list[int] | None:
     """A directed cycle of strictly negative weight, or None.
 
@@ -258,9 +297,9 @@ def detect_negative_cycle(w: WeightedDigraph) -> list[int] | None:
     is returned as a node sequence with the start repeated at the end.
     """
     k = w.k
-    dist = {v: Fraction(0) for v in range(1, k + 1)}
-    pred: dict[int, int | None] = {v: None for v in range(1, k + 1)}
-    arcs = list(w.arcs.items())
+    dist = [0] * (k + 1)
+    pred: list[int | None] = [None] * (k + 1)
+    arcs = list(_scaled(w.arcs)[1].items())
     touched = None
     for _ in range(k):
         touched = None
@@ -299,32 +338,11 @@ def cycle_weight(w: WeightedDigraph, cycle: Sequence[int]) -> Fraction:
 def kleene_star(w: WeightedDigraph) -> TropicalMatrix:
     """All-pairs shortest path matrix W*; requires no negative cycle.
 
-    One Floyd-Warshall pass over rows, with None for an infinite distance.
-    A negative cycle makes the diagonal entry of its highest-numbered node
-    negative after that node's pivot; only then does Bellman-Ford run, to
-    find the witness.  The tropical power formula serves as an independent
-    oracle in the tests.
+    The tropical power formula serves as an independent oracle in the tests.
     """
-    k = w.k
-    dist: list[list] = [[None] * k for _ in range(k)]
-    for a in range(k):
-        dist[a][a] = Fraction(0)
-    for (i, j), wt in w.arcs.items():
-        if i != j or wt < 0:  # a loop matters only below the zero diagonal
-            dist[i - 1][j - 1] = wt
-    for m in range(k):
-        reach = [(b, x) for b, x in enumerate(dist[m]) if x is not None]
-        for row in dist:
-            to_m = row[m]
-            if to_m is None:
-                continue
-            for b, x in reach:
-                cand = to_m + x
-                if row[b] is None or cand < row[b]:
-                    row[b] = cand
-        if dist[m][m] < 0:
-            raise InfeasibleError(detect_negative_cycle(w))
-    return TropicalMatrix.make([[INF if x is None else x for x in row] for row in dist])
+    scale, arcs = _scaled(w.arcs)
+    rows = (tuple(INF if x is None else Fraction(x, scale) for x in r) for r in _star(w, arcs))
+    return TropicalMatrix(w.k, w.k, tuple(rows))
 
 
 def equality_partition(w: WeightedDigraph) -> NodePartition:
@@ -333,13 +351,13 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
     Two nodes share a block iff they lie on a common zero-weight cycle,
     i.e. w*_ij = -w*_ji < inf.  The block count equals dim Q(W).
     """
-    star = kleene_star(w)
+    dist = _star(w, _scaled(w.arcs)[1])
     pairs = [
-        (i, j)
-        for i in range(1, w.k + 1)
-        for j in range(i + 1, w.k + 1)
-        if (a := star.entry(i, j)) is not INF
-        and (b := star.entry(j, i)) is not INF
+        (i + 1, j + 1)
+        for i in range(w.k)
+        for j in range(i + 1, w.k)
+        if (a := dist[i][j]) is not None
+        and (b := dist[j][i]) is not None
         and a + b == 0
     ]
     return NodePartition.make(w.k, weak_components(w.k, pairs))
@@ -393,9 +411,9 @@ def membership(
     w: WeightedDigraph, x: Sequence
 ) -> tuple[bool, frozenset[tuple[int, int]]]:
     """Whether the finite point x lies in Q(W), plus the arcs attained with equality."""
-    if len(x) != w.k:
-        raise ShapeError(f"point has length {len(x)}, digraph has {w.k} nodes")
-    pt = [tval(v) for v in x]
+    pt = tpoint(x)
+    if len(pt) != w.k:
+        raise ShapeError(f"point has length {len(pt)}, digraph has {w.k} nodes")
     if any(c is INF for c in pt):
         raise DomainError("membership needs a finite point")
     ok = True
@@ -413,24 +431,15 @@ def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
     """A point of Q(W) whose tight arcs are exactly the forced equalities.
 
     Big-M completion makes every Kleene column finite; the arithmetic mean
-    of the columns is then tight precisely on the zero-cycle arcs.
+    of the columns is then tight precisely on the zero-cycle arcs.  A cycle
+    through a big-M arc outweighs its other arcs, so it is never negative.
     """
-    cyc = detect_negative_cycle(w)
-    if cyc is not None:
-        raise InfeasibleError(cyc)
     k = w.k
-    wmax = max((abs(v) for v in w.arcs.values()), default=Fraction(0))
-    big = (k + 1) * (wmax + 1)
-    arcs = dict(w.arcs)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i != j and arcs.get((i, j), INF) > big:
-                arcs[(i, j)] = big
-    star = kleene_star(WeightedDigraph(k, arcs))
-    return tuple(
-        Fraction(sum(star.entry(p, j) for j in range(1, k + 1)), k)
-        for p in range(1, k + 1)
-    )
+    scale, arcs = _scaled(w.arcs)
+    big = (k + 1) * (max(map(abs, arcs.values()), default=0) + scale)
+    filled = {(i, j): big for i in range(1, k + 1) for j in range(1, k + 1) if i != j}
+    filled.update(arcs)
+    return tuple(Fraction(sum(row), k * scale) for row in _star(w, filled))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .digraph import (
     WeightedDigraph,
+    _scaled,
     detect_negative_cycle,
     face,
     interior_point,
@@ -72,7 +73,7 @@ class PointConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BipartiteSupportGraph:
     """A set of arcs inside [d] x [n], row side first."""
 
@@ -168,11 +169,17 @@ def _validate_subgraph(v: PointConfig, g: BipartiteSupportGraph) -> None:
 
 # ---------------------------------------------------------------------------
 # Kleene stars of face digraphs: (d+n)-square lists of rows, where node r < d
-# is row r+1, node d+c is column c+1 and None is an infinite distance.  Stars
+# is row r+1, node d+c is column c+1 and None is an infinite distance.  The
+# weights are the entries of V scaled to ints by ``digraph._scaled``.  Stars
 # share the rows an update leaves alone, so a row is never mutated in place.
 
 
-def _tighten(star: list[list], r: int, c: int, w: Fraction) -> list[list]:
+def _scaled_entries(v: PointConfig) -> dict[tuple[int, int], int]:
+    """The finite entries of V scaled to ints, by support arc in sorted order."""
+    return _scaled({a: v.entry(*a) for a in sorted(v.support().arcs)})[1]
+
+
+def _tighten(star: list[list], r: int, c: int, w: int) -> list[list]:
     """The star after adding the reversed arc c -> r of weight -w.
 
     Requires ``star[r][c] == w``: the new arc then closes no negative
@@ -194,7 +201,7 @@ def _tighten(star: list[list], r: int, c: int, w: Fraction) -> list[list]:
     return out
 
 
-def _face_star(v: PointConfig, arcs: Iterable[tuple[int, int]]) -> list[list] | None:
+def _face_star(v: PointConfig, entries: dict, arcs: Iterable[tuple[int, int]]) -> list[list] | None:
     """Star of the face digraph W#G, or None if the face is empty.
 
     The envelope digraph W is acyclic, so its star is its arcs plus a zero
@@ -203,24 +210,24 @@ def _face_star(v: PointConfig, arcs: Iterable[tuple[int, int]]) -> list[list] | 
     k = v.d + v.n
     star = [[None] * k for _ in range(k)]
     for a in range(k):
-        star[a][a] = Fraction(0)
-    for i, j in v.support().arcs:
-        star[i - 1][v.d + j - 1] = v.entry(i, j)
+        star[a][a] = 0
+    for (i, j), w in entries.items():
+        star[i - 1][v.d + j - 1] = w
     for i, j in arcs:
-        r, c, w = i - 1, v.d + j - 1, v.entry(i, j)
+        r, c, w = i - 1, v.d + j - 1, entries[(i, j)]
         if star[r][c] != w:
             return None
         star = _tighten(star, r, c, w)
     return star
 
 
-def _tight_arcs(v: PointConfig, star: list[list]) -> frozenset[tuple[int, int]]:
-    """Support arcs on a zero-weight cycle of the face digraph: its closure."""
-    return frozenset(
-        (i, j)
-        for (i, j) in v.support().arcs
-        if star[v.d + j - 1][i - 1] == -v.entry(i, j)
-    )
+def _closure(v: PointConfig, arcs: Iterable[tuple[int, int]]) -> frozenset | None:
+    """Support arcs on a zero-weight cycle of the face digraph, or None if the face is empty."""
+    entries = _scaled_entries(v)
+    star = _face_star(v, entries, arcs)
+    if star is None:
+        return None
+    return frozenset((i, j) for (i, j), w in entries.items() if star[v.d + j - 1][i - 1] == -w)
 
 
 def covector_closure(v: PointConfig, g: BipartiteSupportGraph) -> CovectorGraph:
@@ -230,18 +237,17 @@ def covector_closure(v: PointConfig, g: BipartiteSupportGraph) -> CovectorGraph:
     digraph; fails if the face is empty.
     """
     _validate_subgraph(v, g)
-    star = _face_star(v, g.arcs)
-    if star is None:
+    closed = _closure(v, g.arcs)
+    if closed is None:
         cyc = detect_negative_cycle(_face_digraph(v, g))
         raise EmptyCellError(f"face is empty: negative cycle {cyc}")
-    return BipartiteSupportGraph(v.d, v.n, _tight_arcs(v, star))
+    return BipartiteSupportGraph(v.d, v.n, closed)
 
 
 def is_covector_graph(v: PointConfig, g: BipartiteSupportGraph) -> bool:
     """Whether G labels a nonempty face: feasible and closed under zero cycles."""
     _validate_subgraph(v, g)
-    star = _face_star(v, g.arcs)
-    return star is not None and _tight_arcs(v, star) == g.arcs
+    return _closure(v, g.arcs) == g.arcs
 
 
 def cell_dimension(v: PointConfig, g: CovectorGraph) -> int:
@@ -273,7 +279,7 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
     is in G and infinite otherwise.
     """
     _validate_subgraph(v, g)
-    if _face_star(v, g.arcs) is None:
+    if _closure(v, g.arcs) is None:
         raise EmptyCellError("face is empty")
     vg = TropicalMatrix.make(
         [
@@ -310,12 +316,11 @@ def enumerate_covector_graphs(
             raise CapabilityError(
                 f"cell enumeration would scan more than {candidate_bound} seeds"
             )
-    nodes = {
-        (i, j): (i - 1, v.d + j - 1, v.entry(i, j)) for (i, j) in sorted(v.support().arcs)
-    }
+    entries = _scaled_entries(v)
+    nodes = {(i, j): (i - 1, v.d + j - 1, w) for (i, j), w in entries.items()}
     empty: frozenset[tuple[int, int]] = frozenset()
     seen = {empty}
-    stack = [(empty, _face_star(v, empty))]
+    stack = [(empty, _face_star(v, entries, empty))]
     found = []
     while stack:
         g, star = stack.pop()
@@ -351,7 +356,7 @@ def enumerate_covector_graphs(
 # regular subdivision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubdivisionCell:
     """A cell of the regular subdivision, given by its vertex set in [d] x [n]."""
 

@@ -87,6 +87,13 @@ def tval(x) -> TVal:
     raise ValueTypeError(f"cannot interpret {x!r} as a tropical value")
 
 
+def tpoint(xs) -> tuple[TVal, ...]:
+    """Coerce a point with ``tval``; a bare string or a non-iterable raises ``ValueTypeError``."""
+    if isinstance(xs, str) or not isinstance(xs, Iterable):
+        raise ValueTypeError(f"cannot interpret {xs!r} as a point")
+    return tuple(tval(x) for x in xs)
+
+
 def is_finite(v: TVal) -> bool:
     return v is not INF
 

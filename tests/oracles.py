@@ -375,21 +375,26 @@ def is_generic_by_minors(v: TropicalMatrix):
 # random instances
 
 
-def random_digraph(rng, k, *, density=0.5, lo=-3, hi=3) -> WeightedDigraph:
+def _rational(rng, lo, hi, den):
+    """p/q with p in lo..hi and q in 1..den; den = 1 draws exactly as ``randint``."""
+    return Fraction(rng.randint(lo, hi), rng.randint(1, den) if den > 1 else 1)
+
+
+def random_digraph(rng, k, *, density=0.5, lo=-3, hi=3, den=1) -> WeightedDigraph:
     arcs = {}
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             if i != j and rng.random() < density:
-                arcs[(i, j)] = Fraction(rng.randint(lo, hi))
+                arcs[(i, j)] = _rational(rng, lo, hi, den)
     return WeightedDigraph(k, arcs)
 
 
-def random_config(rng, d, n, *, inf_chance=0.25, lo=-3, hi=3) -> PointConfig:
+def random_config(rng, d, n, *, inf_chance=0.25, lo=-3, hi=3, den=1) -> PointConfig:
     cols = []
     for _ in range(n):
         while True:
             col = [
-                INF if rng.random() < inf_chance else Fraction(rng.randint(lo, hi))
+                INF if rng.random() < inf_chance else _rational(rng, lo, hi, den)
                 for _ in range(d)
             ]
             if any(c is not INF for c in col):

@@ -16,6 +16,8 @@ from wdpoly import (
     ProjectivePoint,
     Sector,
     SignVector,
+    TropicalError,
+    WeightedDigraph,
     boundary_matrix,
     cell_boundary_restriction,
     cell_sample_point,
@@ -27,6 +29,7 @@ from wdpoly import (
     is_generic,
     is_pure,
     maximal_cells,
+    membership,
     projective_decomposition,
     signed_cells,
     signed_graph,
@@ -391,3 +394,51 @@ def test_projective_decomposition_counts_empty_strata():
     for c in boundary:
         assert c.graph.arcs == frozenset()
         assert c.dimension == 0
+
+
+# ---------------------------------------------------------------------------
+# input contract of the functions that take points
+
+
+_coordinate = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(Fraction(-3), Fraction(3), max_denominator=3),
+    st.just(INF),
+    st.sampled_from(["0", "-1/2", " 2 ", "inf", "∞", "", "abc", "1/0", "1.5", "--1"]),
+    st.text(max_size=3),
+    st.floats(allow_nan=True),
+    st.booleans(),
+    st.none(),
+)
+_point = st.one_of(
+    st.lists(_coordinate, min_size=1, max_size=4),
+    st.lists(_coordinate, min_size=1, max_size=4).map(tuple),
+    st.integers(),
+    st.floats(),
+    st.none(),
+    st.just(INF),
+    st.text(max_size=3),
+)
+_H5 = HalfspaceSystem.make(V5, G(3, 3, [(1, 1), (2, 2), (1, 3)]))
+_POINT_TAKERS = (
+    lambda x: membership(WeightedDigraph.make(3, {(1, 2): 1, (2, 3): -1}), x),
+    lambda x: covector_of_point(V5, x),
+    lambda x: halfspace_membership(_H5, x),
+    lambda x: ProjectivePoint.make(x),
+    lambda x: Sector((0, 1, 2), 1).contains(x),
+    lambda x: closed_sector_membership(ProjectivePoint.make([0, 1, "inf"]), x, 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point)
+def test_points_give_an_exact_answer_or_a_tropical_error(x):
+    inexact = not isinstance(x, (list, tuple)) or any(
+        c is None or isinstance(c, (bool, float)) for c in x
+    )
+    for take in _POINT_TAKERS:
+        try:
+            take(x)
+        except TropicalError:
+            continue
+        assert not inexact, f"accepted {x!r}"

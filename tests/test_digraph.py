@@ -167,6 +167,38 @@ def test_interior_point_is_tight_exactly_on_forced_arcs():
         done += 1
 
 
+def test_shortest_path_kernel_on_rational_weights():
+    """Weights p/q with q in 1..3, so the kernel's LCM scaling is not 1."""
+    rng = random.Random(59)
+    feasible = infeasible = 0
+    for _ in range(200):
+        w = random_digraph(rng, rng.randint(1, 5), density=0.6, lo=-2, hi=4, den=3)
+        best = min_cycle_weight(w)
+        cyc = detect_negative_cycle(w)
+        assert (cyc is not None) == (best is not None and best < 0)
+        if cyc is not None:
+            assert cycle_weight(w, cyc) < 0
+            with pytest.raises(InfeasibleError) as exc:
+                kleene_star(w)
+            assert exc.value.cycle == cyc
+            infeasible += 1
+            continue
+        star = kleene_by_powers(w)
+        assert kleene_star(w) == star
+        zero = [
+            (i, j)
+            for (i, j) in w.arcs
+            if star.entry(j, i) is not INF and w.arcs[(i, j)] + star.entry(j, i) == 0
+        ]
+        ok, tight = membership(w, interior_point(w))
+        assert ok and tight == set(zero)
+        assert equality_partition(w).blocks == tuple(
+            weak_components(w.k, [a for a in zero if a[0] != a[1]])
+        )
+        feasible += 1
+    assert feasible >= 50 and infeasible >= 20
+
+
 def test_intersection_membership_lemma():
     rng = random.Random(37)
     u = random_digraph(rng, 4, density=0.4)

@@ -206,12 +206,17 @@ def test_enumeration_is_closed_and_deduplicated():
 
 
 @st.composite
-def _config_and_selections(draw):
-    """d <= 3, n <= 4; small integers make ties common, INF makes sparse supports."""
+def _config_and_selections(draw, den=1):
+    """d <= 3, n <= 4; small numerators make ties common, INF makes sparse supports.
+
+    Entries are p/q with p in -2..2 and q in 1..den, so den > 1 makes the
+    LCM scaling of the shortest-path kernel nontrivial.
+    """
     d = draw(st.integers(1, 3))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, den))
     cols = draw(
         st.lists(
-            st.lists(st.one_of(st.integers(-2, 2), st.just(INF)), min_size=d, max_size=d)
+            st.lists(st.one_of(entry, st.just(INF)), min_size=d, max_size=d)
             .filter(lambda c: any(x is not INF for x in c)),
             min_size=1,
             max_size=4,
@@ -230,10 +235,7 @@ def _closure_or_empty(closure, v, arcs):
         return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(_config_and_selections())
-def test_walk_matches_the_union_saturation_oracle(case):
-    v, picks = case
+def _check_walk_against_oracles(v, picks):
     assert enumerate_covector_graphs(v) == enumerate_covector_graphs_by_unions(v)
     for cell in enumerate_cells(v):
         assert cell.bounded == bounded_by_projection(v, cell.graph)
@@ -244,3 +246,25 @@ def test_walk_matches_the_union_saturation_oracle(case):
         assert is_covector_graph(v, BipartiteSupportGraph(v.d, v.n, frozenset(arcs))) == (
             closed == arcs
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_and_selections())
+def test_walk_matches_the_union_saturation_oracle(case):
+    _check_walk_against_oracles(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_and_selections(den=3))
+def test_walk_matches_the_union_saturation_oracle_on_rationals(case):
+    _check_walk_against_oracles(*case)
+    v, picks = case
+    for arcs in picks:
+        g = BipartiteSupportGraph(v.d, v.n, frozenset(arcs))
+        closed = _closure_or_empty(covector_closure, v, arcs)
+        if closed is None:
+            continue
+        y, z = interior_point_of_face(v, g)
+        ok, tight = membership(envelope_digraph(v), tuple(y) + tuple(z))
+        assert ok
+        assert tight == {(i, v.d + j) for (i, j) in closed}
