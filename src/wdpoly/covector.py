@@ -15,16 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .digraph import WeightedDigraph, strong_components
+from .digraph import WeightedDigraph
 from .envelope import (
     BipartiteSupportGraph,
     CovectorGraph,
     PointConfig,
-    enumerate_covector_graphs,
+    _walk,
     interior_point_of_face,
 )
-from .errors import CapabilityError, DomainError, ShapeError
-from .semiring import INF, TVal, is_finite, tpoint
+from .errors import CapabilityError, DomainError, ShapeError, ValueTypeError
+from .semiring import INF, TVal, _iterable, is_finite, tpoint
 
 # Torus strata and empty stratum graphs share one set: each frozenset() allocates.
 _EMPTY: frozenset = frozenset()
@@ -46,6 +46,7 @@ class Sector:
     index: int
 
     def __post_init__(self):
+        object.__setattr__(self, "apex", tpoint(self.apex))
         if not (1 <= self.index <= len(self.apex)):
             raise DomainError("sector index out of range")
         if self.apex[self.index - 1] is INF:
@@ -101,10 +102,8 @@ class ProjectivePoint:
 def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> bool:
     """Whether z lies in the compactified i-th sector of apex u.
 
-    The closure of the sector meets the stratum with infinite set K only
-    when K avoids the support of u or contains i; on an admissible
-    stratum the finite coordinates obey the sector inequalities with the
-    indices in K dropped.
+    That is the covector rule for the one-column configuration u: the arc
+    (i, 1) is in the covector graph of z.
     """
     u = tpoint(u)
     if len(u) != z.d:
@@ -113,19 +112,7 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
         raise DomainError(f"sector index {i} is not in 1..{z.d}")
     if u[i - 1] is INF:
         raise DomainError(f"index {i} is not in the support of the apex")
-    k = frozenset(range(1, z.d + 1)) - z.support()
-    if i in k:
-        return True
-    if any(u[l - 1] is not INF for l in k):
-        return False
-    zi = z.coords[i - 1]
-    ui = u[i - 1]
-    for l in range(1, z.d + 1):
-        if l == i or l in k or u[l - 1] is INF:
-            continue
-        if not (z.coords[l - 1] - zi <= u[l - 1] - ui):
-            return False
-    return True
+    return (i, 1) in _covector(PointConfig.make([[x] for x in u]), z.coords).arcs
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +177,8 @@ def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TV
     returned multipliers reproduce z as a tropical combination exactly
     when the verdict is positive.
     """
+    if not isinstance(z, ProjectivePoint):
+        raise ValueTypeError(f"{z!r} is not a ProjectivePoint")
     if z.d != v.d:
         raise ShapeError("point dimension does not match the configuration")
     rows = {i for (i, _) in _covector(v, z.coords).arcs}
@@ -227,16 +216,6 @@ class CellRecord:
         )
 
 
-def _is_bounded(v: PointConfig, g: CovectorGraph) -> bool:
-    """Bounded mod translation iff the projected digraph is strongly connected.
-
-    That digraph has the arc (i, l) iff the entry (i, l) of V (x) V[G] is
-    finite, i.e. iff some column j has v_ij finite and (l, j) in G.
-    """
-    arcs = [(i, l) for (l, j) in g.arcs for i in v.column_support(j) if i != l]
-    return len(strong_components(v.d, arcs)) == 1
-
-
 def _in_tcone(g: CovectorGraph) -> bool:
     rows = {i for (i, _) in g.arcs}
     cols = {j for (_, j) in g.arcs}
@@ -246,14 +225,20 @@ def _in_tcone(g: CovectorGraph) -> bool:
 def enumerate_cells(
     v: PointConfig, *, candidate_bound: int = 1_000_000
 ) -> list[CellRecord]:
-    """All cells of the covector decomposition of the projective torus."""
+    """All cells of the covector decomposition of the projective torus.
+
+    The cell X_G is the projection of the face F_G to the rows, which is
+    cut out by the row block of the face's Kleene star; so X_G is bounded
+    modulo translation iff that block has no infinite entry.
+    """
     records = []
-    for g in enumerate_covector_graphs(v, candidate_bound=candidate_bound):
+    for arcs, star in _walk(v, candidate_bound):
+        g = BipartiteSupportGraph(v.d, v.n, arcs)
         records.append(
             CellRecord(
                 graph=g,
                 dimension=g.weak_component_count() - 1,
-                bounded=_is_bounded(v, g),
+                bounded=all(x is not None for row in star[: v.d] for x in row[: v.d]),
                 in_tcone=_in_tcone(g),
                 stratum=_EMPTY,
             )
@@ -308,8 +293,8 @@ class SignVector:
 
     @classmethod
     def make(cls, spec: Iterable[str] | str) -> "SignVector":
-        signs = tuple(spec)
-        if any(s not in "+-" for s in signs):
+        signs = tuple(spec if isinstance(spec, str) else _iterable(spec, "signs"))
+        if any(s not in ("+", "-") for s in signs):
             raise DomainError("signs must be '+' or '-'")
         return cls(signs)
 
@@ -418,9 +403,9 @@ def is_pure(
     """Whether all inclusion-maximal cells of the halfspace share one dimension."""
     cells = cells_of_halfspace(h, candidate_bound=candidate_bound)
     tops = maximal_cells(cells)
-    for a, b in itertools.combinations(tops, 2):
-        if a.dimension != b.dimension:
-            return False, (a, b)
+    for b in tops[1:]:
+        if b.dimension != tops[0].dimension:
+            return False, (tops[0], b)
     return True, None
 
 
@@ -525,7 +510,7 @@ def boundary_matrix(v: PointConfig, z: Iterable[int]) -> LabeledConfig:
     Columns with a finite entry in a deleted row disappear entirely; the
     remaining columns keep their labels.
     """
-    zset = frozenset(z)
+    zset = frozenset(_iterable(z, "a row set"))
     if not zset <= set(range(1, v.d + 1)):
         raise DomainError("stratum rows out of range")
     if zset == set(range(1, v.d + 1)):
@@ -594,7 +579,7 @@ def cell_boundary_restriction(
     Drops the arcs of the deleted rows and of the columns that do not
     survive on the stratum; labels stay original.
     """
-    zset = frozenset(z)
+    zset = frozenset(_iterable(z, "a row set"))
     lab = boundary_matrix(v, zset)
     cols = set(lab.col_labels)
     kept = frozenset(

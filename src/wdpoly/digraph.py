@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
 )
 from .matrix import TropicalMatrix
-from .semiring import INF, TVal, is_finite, tpoint, tval
+from .semiring import INF, TVal, _iterable, is_finite, tpoint, tval
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class WeightedDigraph:
     def make(cls, k: int, arcs: Mapping[tuple[int, int], object] | Iterable) -> "WeightedDigraph":
         if k < 1:
             raise ShapeError("node count must be at least 1")
-        items = arcs.items() if isinstance(arcs, Mapping) else arcs
+        items = arcs.items() if isinstance(arcs, Mapping) else _iterable(arcs, "arcs")
         clean: dict[tuple[int, int], Fraction] = {}
         for (i, j), w in items:
             if not (1 <= i <= k and 1 <= j <= k):
@@ -98,7 +98,9 @@ class NodePartition:
 
     @classmethod
     def make(cls, k: int, blocks: Iterable[Iterable[int]]) -> "NodePartition":
-        normalized = sorted(tuple(sorted(b)) for b in blocks)
+        normalized = sorted(
+            tuple(sorted(_iterable(b, "a block"))) for b in _iterable(blocks, "blocks")
+        )
         seen = [i for b in normalized for i in b]
         if sorted(seen) != list(range(1, k + 1)):
             raise DomainError("blocks must partition 1..k")
@@ -369,7 +371,7 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
 
 def face(w: WeightedDigraph, g: Iterable[tuple[int, int]]) -> WeightedDigraph:
     """The matrix W#G of the face F_G: w_ji is replaced by -w_ij for (i,j) in G."""
-    gset = frozenset(g)
+    gset = frozenset(_iterable(g, "arcs"))
     for (i, j) in gset:
         if (i, j) not in w.arcs:
             raise DomainError(f"face arc ({i},{j}) is not an arc of the digraph")
@@ -397,7 +399,7 @@ def intersect(u: WeightedDigraph, w: WeightedDigraph) -> WeightedDigraph:
 
 def project(w: WeightedDigraph, deleted: Iterable[int]) -> WeightedDigraph:
     """Coordinate projection of Q(W): delete rows/columns of W* indexed by I."""
-    dset = frozenset(deleted)
+    dset = frozenset(_iterable(deleted, "a node set"))
     if not dset <= set(range(1, w.k + 1)):
         raise DomainError("projection index set out of range")
     if len(dset) == w.k:

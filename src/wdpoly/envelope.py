@@ -25,7 +25,7 @@ from .digraph import (
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
-from .semiring import INF, is_finite
+from .semiring import INF, _iterable, is_finite
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class BipartiteSupportGraph:
 
     @classmethod
     def make(cls, d: int, n: int, arcs: Iterable[tuple[int, int]]) -> "BipartiteSupportGraph":
-        aset = frozenset((int(i), int(j)) for i, j in arcs)
+        aset = frozenset((int(i), int(j)) for i, j in _iterable(arcs, "arcs"))
         for i, j in aset:
             if not (1 <= i <= d and 1 <= j <= n):
                 raise DomainError(f"arc ({i},{j}) outside [{d}]x[{n}]")
@@ -294,20 +294,8 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 # enumeration of covector graphs
 
 
-def enumerate_covector_graphs(
-    v: PointConfig, *, candidate_bound: int = 1_000_000
-) -> list[CovectorGraph]:
-    """The covector graphs of V in which every column has an arc, canonically ordered.
-
-    These label the cells of the projective torus.  The enumeration walks
-    up the face lattice from the empty graph, keeping the Kleene star S of
-    the face digraph W#G of each graph G until G is expanded.  G+(i,j) is
-    a nonempty face iff S[i][d+j] == v_ij.  A graph that misses a column
-    grows only in the first such column, which reaches every
-    inclusion-minimal graph covering all columns; other graphs grow by
-    every support arc.  If H contains G and a is in H but not in G, then
-    closure(G+a) lies in H, so every graph above those is reached.
-    """
+def _walk(v: PointConfig, candidate_bound: int):
+    """The walk of ``enumerate_covector_graphs``: (arcs of G, scaled star of W#G) per graph."""
     supports = [v.column_support(j) for j in range(1, v.n + 1)]
     total = 1
     for s in supports:
@@ -321,13 +309,12 @@ def enumerate_covector_graphs(
     empty: frozenset[tuple[int, int]] = frozenset()
     seen = {empty}
     stack = [(empty, _face_star(v, entries, empty))]
-    found = []
     while stack:
         g, star = stack.pop()
         covered = {j for _, j in g}
         missing = next((j for j in range(1, v.n + 1) if j not in covered), None)
         if missing is None:
-            found.append(g)
+            yield g, star
         rest = [(a, rc) for a, rc in nodes.items() if a not in g]
         for a, (r, c, w) in rest:
             if missing is not None and a[1] != missing:
@@ -348,7 +335,23 @@ def enumerate_covector_graphs(
             if closed not in seen:
                 seen.add(closed)
                 stack.append((closed, _tighten(star, r, c, w)))
-    graphs = [BipartiteSupportGraph(v.d, v.n, g) for g in found]
+
+
+def enumerate_covector_graphs(
+    v: PointConfig, *, candidate_bound: int = 1_000_000
+) -> list[CovectorGraph]:
+    """The covector graphs of V in which every column has an arc, canonically ordered.
+
+    These label the cells of the projective torus.  The enumeration walks
+    up the face lattice from the empty graph, keeping the Kleene star S of
+    the face digraph W#G of each graph G until G is expanded.  G+(i,j) is
+    a nonempty face iff S[i][d+j] == v_ij.  A graph that misses a column
+    grows only in the first such column, which reaches every
+    inclusion-minimal graph covering all columns; other graphs grow by
+    every support arc.  If H contains G and a is in H but not in G, then
+    closure(G+a) lies in H, so every graph above those is reached.
+    """
+    graphs = [BipartiteSupportGraph(v.d, v.n, g) for g, _ in _walk(v, candidate_bound)]
     return sorted(graphs, key=lambda g: (len(g.arcs), g.sorted_arcs()))
 
 

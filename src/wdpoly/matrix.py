@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ShapeError
-from .semiring import INF, TVal, tadd, tmul, tsum, tval
+from .semiring import INF, TVal, _iterable, tadd, tmul, tsum, tval
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,10 @@ class TropicalMatrix:
 
     @classmethod
     def make(cls, data: Iterable[Iterable]) -> "TropicalMatrix":
-        rows = tuple(tuple(tval(x) for x in row) for row in data)
+        rows = tuple(
+            tuple(tval(x) for x in _iterable(row, "a matrix row"))
+            for row in _iterable(data, "a matrix")
+        )
         if not rows or not rows[0]:
             raise ShapeError("matrix dimensions must be at least 1x1")
         width = len(rows[0])

@@ -87,11 +87,16 @@ def tval(x) -> TVal:
     raise ValueTypeError(f"cannot interpret {x!r} as a tropical value")
 
 
+def _iterable(xs, what: str) -> Iterable:
+    """``xs`` itself; a bare string or a non-iterable raises ``ValueTypeError``."""
+    if isinstance(xs, str) or not isinstance(xs, Iterable):
+        raise ValueTypeError(f"cannot interpret {xs!r} as {what}")
+    return xs
+
+
 def tpoint(xs) -> tuple[TVal, ...]:
     """Coerce a point with ``tval``; a bare string or a non-iterable raises ``ValueTypeError``."""
-    if isinstance(xs, str) or not isinstance(xs, Iterable):
-        raise ValueTypeError(f"cannot interpret {xs!r} as a point")
-    return tuple(tval(x) for x in xs)
+    return tuple(tval(x) for x in _iterable(xs, "a point"))
 
 
 def is_finite(v: TVal) -> bool:

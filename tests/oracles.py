@@ -4,7 +4,8 @@ Each oracle computes its answer by a different route than the library:
 shortest paths via the matrix power formula, feasibility via exhaustive
 simple-cycle enumeration, subdivisions via the lifted lower hull, cone
 membership via residuation, halfspace membership by comparing sector
-maxima, connectivity via networkx, covector closures and enumeration by
+maxima, closed sectors by the stratum rule and the sector inequalities,
+connectivity via networkx, covector closures and enumeration by
 fresh Bellman-Ford rounds and pairwise unions, cell boundedness via the
 projection matrix of the face, and tropical determinants and genericity
 via all permutations of every square submatrix.
@@ -24,6 +25,7 @@ from wdpoly import (
     CapabilityError,
     EmptyCellError,
     PointConfig,
+    ProjectivePoint,
     TropicalMatrix,
     WeightedDigraph,
     detect_negative_cycle,
@@ -330,6 +332,33 @@ def membership_against(
                 return False
             continue
         if rest and max(rest) > inside:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# closed sectors by the stratum rule and the sector inequalities
+
+
+def closed_sector_by_inequalities(z: ProjectivePoint, u: Sequence[TVal], i: int) -> bool:
+    """Whether z lies in the compactified i-th sector of apex u.
+
+    The closure of the sector meets the stratum with infinite set K only
+    when K avoids the support of u or contains i; on an admissible
+    stratum the finite coordinates obey the sector inequalities with the
+    indices in K dropped.
+    """
+    k = frozenset(range(1, z.d + 1)) - z.support()
+    if i in k:
+        return True
+    if any(u[l - 1] is not INF for l in k):
+        return False
+    zi = z.coords[i - 1]
+    ui = u[i - 1]
+    for l in range(1, z.d + 1):
+        if l == i or l in k or u[l - 1] is INF:
+            continue
+        if not (z.coords[l - 1] - zi <= u[l - 1] - ui):
             return False
     return True
 

@@ -1,7 +1,9 @@
 """Sectors, covector cells, tropical cones, halfspaces, projective strata."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,13 @@ from wdpoly import (
     BipartiteSupportGraph,
     DomainError,
     HalfspaceSystem,
+    NodePartition,
     PointConfig,
     ProjectivePoint,
     Sector,
     SignVector,
     TropicalError,
+    TropicalMatrix,
     WeightedDigraph,
     boundary_matrix,
     cell_boundary_restriction,
@@ -25,12 +29,15 @@ from wdpoly import (
     closed_sector_membership,
     covector_of_point,
     enumerate_cells,
+    face,
     halfspace_membership,
     is_generic,
     is_pure,
     maximal_cells,
     membership,
+    project,
     projective_decomposition,
+    regular_subdivision,
     signed_cells,
     signed_graph,
     tangent_digraph,
@@ -38,6 +45,7 @@ from wdpoly import (
 )
 
 from oracles import (
+    closed_sector_by_inequalities,
     membership_against,
     random_config,
     residuation_member,
@@ -247,6 +255,10 @@ def test_signed_graph_flips_minus_columns():
     assert flipped.arcs == {(2, 1)}
     same = signed_graph(psi, SignVector.all_plus(1), v.support())
     assert same.arcs == psi.arcs
+    # each sign is a single '+' or '-'
+    for bad in ([5], [""], ["+-"]):
+        with pytest.raises(DomainError):
+            SignVector.make(bad)
 
 
 def test_cells_of_halfspace_partition_by_membership():
@@ -302,7 +314,7 @@ def _system_and_points(draw):
 def _closed_sectors_cover(v, psi, z):
     """Per column, z lies in the closed sector of some row selected by psi."""
     return all(
-        any(closed_sector_membership(z, v.v.col(j), i) for i in psi.col_neighbors(j))
+        any(closed_sector_by_inequalities(z, v.v.col(j), i) for i in psi.col_neighbors(j))
         for j in range(1, v.n + 1)
     )
 
@@ -397,6 +409,59 @@ def test_projective_decomposition_counts_empty_strata():
 
 
 # ---------------------------------------------------------------------------
+# counting invariants: they hold at every size, past the reach of the oracles
+
+
+@st.composite
+def _configs(draw):
+    """d <= 4, n <= 5, entries p/q with p in -2..2 and q in {1, 3}; half the draws allow INF."""
+    d = draw(st.integers(1, 4))
+    rational = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 3]))
+    entry = rational if draw(st.booleans()) else st.one_of(rational, st.just(INF))
+    column = st.lists(entry, min_size=d, max_size=d).filter(
+        lambda c: any(x is not INF for x in c)
+    )
+    cols = draw(st.lists(column, min_size=1, max_size=5))
+    return PointConfig.make([[c[i] for c in cols] for i in range(d)])
+
+
+def _euler(cells):
+    return sum((-1) ** c.dimension for c in cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_euler_characteristics(v):
+    # the torus cells partition R^d / R1, the strata compactify it to a simplex
+    cells = enumerate_cells(v)
+    assert _euler(cells) == (-1) ** (v.d - 1)
+    assert _euler(projective_decomposition(v)) == 1
+    # the bounded complex is contractible when every entry is finite
+    if all(x is not INF for row in v.v.entries for x in row):
+        assert _euler(c for c in cells if c.bounded) == 1
+
+
+@pytest.mark.parametrize("d, n", [(3, 3), (3, 4), (4, 4), (4, 5), (5, 6)])
+def test_generic_f_vectors(d, n):
+    rng = random.Random(100 * d + n)
+    generic = False
+    while not generic:
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(d)]
+        v = PointConfig.make(rows)
+        generic, _ = is_generic(v.v)
+    cells = enumerate_cells(v)
+    dims = Counter(c.dimension for c in cells)
+    bounded = Counter(c.dimension for c in cells if c.bounded)
+    assert dims[0] == comb(n + d - 2, d - 1)
+    assert dims[d - 1] == comb(n + d - 1, d - 1)
+    for i in range(d):
+        expect = comb(n + d - i - 2, n - i - 1) * comb(d - 1, i) if n - i - 1 >= 0 else 0
+        assert bounded[i] == expect
+    # every triangulation of the product of simplices has this many simplices
+    assert len(regular_subdivision(v)) == comb(n + d - 2, d - 1)
+
+
+# ---------------------------------------------------------------------------
 # input contract of the functions that take points
 
 
@@ -442,3 +507,38 @@ def test_points_give_an_exact_answer_or_a_tropical_error(x):
         except TropicalError:
             continue
         assert not inexact, f"accepted {x!r}"
+
+
+_W2 = WeightedDigraph.make(2, {(1, 2): 1})
+_ITERABLE_TAKERS = (
+    lambda x: Sector(x, 1),
+    lambda x: TropicalMatrix.make(x),
+    lambda x: TropicalMatrix.make([x]),
+    lambda x: PointConfig.make(x),
+    lambda x: WeightedDigraph.make(2, x),
+    lambda x: BipartiteSupportGraph.make(2, 2, x),
+    lambda x: NodePartition.make(2, x),
+    lambda x: NodePartition.make(2, [x]),
+    lambda x: project(_W2, x),
+    lambda x: face(_W2, x),
+    lambda x: boundary_matrix(V5, x),
+    lambda x: cell_boundary_restriction(V5, V5.support(), x),
+    lambda x: tcone_membership(V5, x),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), st.none(), st.floats(), st.just(INF), st.text(max_size=3)))
+def test_non_iterables_and_bare_strings_give_a_tropical_error(x):
+    for take in _ITERABLE_TAKERS:
+        with pytest.raises(TropicalError):
+            take(x)
+    # a bare string is a sign vector; anything else must be iterable
+    if isinstance(x, str):
+        try:
+            SignVector.make(x)
+        except TropicalError:
+            pass
+    else:
+        with pytest.raises(TropicalError):
+            SignVector.make(x)
