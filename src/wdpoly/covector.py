@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .digraph import WeightedDigraph
@@ -24,10 +23,7 @@ from .envelope import (
     interior_point_of_face,
 )
 from .errors import CapabilityError, DomainError, ShapeError, ValueTypeError
-from .semiring import INF, TVal, _iterable, is_finite, tpoint
-
-# Torus strata and empty stratum graphs share one set: each frozenset() allocates.
-_EMPTY: frozenset = frozenset()
+from .semiring import INF, TVal, _index, _iterable, is_finite, tpoint
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +43,7 @@ class Sector:
 
     def __post_init__(self):
         object.__setattr__(self, "apex", tpoint(self.apex))
+        _index(self.index, "a sector index")
         if not (1 <= self.index <= len(self.apex)):
             raise DomainError("sector index out of range")
         if self.apex[self.index - 1] is INF:
@@ -108,7 +105,7 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
     u = tpoint(u)
     if len(u) != z.d:
         raise ShapeError("apex dimension does not match the point")
-    if not 1 <= i <= z.d:
+    if not 1 <= _index(i, "a sector index") <= z.d:
         raise DomainError(f"sector index {i} is not in 1..{z.d}")
     if u[i - 1] is INF:
         raise DomainError(f"index {i} is not in the support of the apex")
@@ -222,29 +219,36 @@ def _in_tcone(g: CovectorGraph) -> bool:
     return len(rows) == g.d and len(cols) == g.n
 
 
-def enumerate_cells(
-    v: PointConfig, *, candidate_bound: int = 1_000_000
-) -> list[CellRecord]:
-    """All cells of the covector decomposition of the projective torus.
+def _cells(v: PointConfig, stratum: frozenset[int], candidate_bound: int) -> list[CellRecord]:
+    """The cells where the rows ``stratum`` are infinite, unsorted, from ``envelope._walk``.
 
-    The cell X_G is the projection of the face F_G to the rows, which is
-    cut out by the row block of the face's Kleene star; so X_G is bounded
-    modulo translation iff that block has no infinite entry.
+    The stratum's rows and the columns that meet them are isolated nodes,
+    which the dimension leaves out.  X_G is the projection of the face F_G
+    to the other rows, cut out by their block of the face's Kleene star; so
+    X_G is bounded modulo translation iff that block has no infinite entry.
     """
+    rows = [i - 1 for i in range(1, v.d + 1) if i not in stratum]
+    dropped = sum(any(v.entry(i, j) is not INF for i in stratum) for j in range(1, v.n + 1))
     records = []
-    for arcs, star in _walk(v, candidate_bound):
+    for arcs, star in _walk(v, candidate_bound, stratum):
         g = BipartiteSupportGraph(v.d, v.n, arcs)
         records.append(
             CellRecord(
                 graph=g,
-                dimension=g.weak_component_count() - 1,
-                bounded=all(x is not None for row in star[: v.d] for x in row[: v.d]),
+                dimension=g.weak_component_count() - len(stratum) - dropped - 1,
+                bounded=all(star[r][c] is not None for r in rows for c in rows),
                 in_tcone=_in_tcone(g),
-                stratum=_EMPTY,
+                stratum=stratum,
             )
         )
-    records.sort(key=CellRecord.sort_key)
     return records
+
+
+def enumerate_cells(
+    v: PointConfig, *, candidate_bound: int = 1_000_000
+) -> list[CellRecord]:
+    """All cells of the covector decomposition of the projective torus."""
+    return sorted(_cells(v, frozenset(), candidate_bound), key=CellRecord.sort_key)
 
 
 def maximal_cells(cells: Sequence[CellRecord]) -> list[CellRecord]:
@@ -261,26 +265,14 @@ def maximal_cells(cells: Sequence[CellRecord]) -> list[CellRecord]:
 
 
 def cell_sample_point(v: PointConfig, cell: CellRecord) -> tuple[TVal, ...]:
-    """A relative-interior point of the cell, infinite on its stratum."""
-    if cell.stratum:
-        lab = boundary_matrix(v, cell.stratum)
-        if lab.config is None:
-            coords: list[TVal] = [
-                Fraction(0) if i not in cell.stratum else INF
-                for i in range(1, v.d + 1)
-            ]
-            return tuple(coords)
-        arcs = frozenset(
-            a for a, orig in lab.original_arcs().items() if orig in cell.graph.arcs
-        )
-        local = BipartiteSupportGraph(len(lab.row_labels), len(lab.col_labels), arcs)
-        y, _ = interior_point_of_face(lab.config, local)
-        coords = [INF] * v.d
-        for r, val in zip(lab.row_labels, y):
-            coords[r - 1] = val
-        return tuple(coords)
+    """A relative-interior point of the cell, infinite on its stratum.
+
+    The interior point of G's face in V's envelope with the stratum's rows
+    set to infinity: those rows and the columns that meet them carry no
+    arc of G, so they do not constrain the other rows.
+    """
     y, _ = interior_point_of_face(v, cell.graph)
-    return tuple(y)
+    return tuple(INF if i in cell.stratum else x for i, x in enumerate(y, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +488,6 @@ class LabeledConfig:
     col_labels: tuple[int, ...]
     config: PointConfig | None
 
-    def original_arcs(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Each support arc of ``config`` mapped to its original labels."""
-        return {
-            (i, j): (self.row_labels[i - 1], self.col_labels[j - 1])
-            for (i, j) in self.config.support().arcs
-        }
-
 
 def boundary_matrix(v: PointConfig, z: Iterable[int]) -> LabeledConfig:
     """The configuration induced on the stratum where the rows z are infinite.
@@ -510,7 +495,7 @@ def boundary_matrix(v: PointConfig, z: Iterable[int]) -> LabeledConfig:
     Columns with a finite entry in a deleted row disappear entirely; the
     remaining columns keep their labels.
     """
-    zset = frozenset(_iterable(z, "a row set"))
+    zset = frozenset(_index(i, "a row") for i in _iterable(z, "a row set"))
     if not zset <= set(range(1, v.d + 1)):
         raise DomainError("stratum rows out of range")
     if zset == set(range(1, v.d + 1)):
@@ -532,41 +517,14 @@ def projective_decomposition(
 ) -> list[CellRecord]:
     """All cells of the decomposition of tropical projective space.
 
-    Iterates over every proper set of rows sent to infinity; the empty
-    set contributes the torus cells.  A stratum none of whose columns
-    survive is a single unconstrained cell with an empty covector graph.
+    The torus cells, then the cells of every nonempty proper set of rows
+    sent to infinity.  A stratum none of whose columns survive is the
+    walk's root alone: one cell with an empty covector graph.
     """
-    out: list[CellRecord] = []
-    for size in range(0, v.d):
+    out = enumerate_cells(v, candidate_bound=candidate_bound)
+    for size in range(1, v.d):
         for zrows in itertools.combinations(range(1, v.d + 1), size):
-            zset = frozenset(zrows)
-            if not zset:
-                out.extend(enumerate_cells(v, candidate_bound=candidate_bound))
-                continue
-            lab = boundary_matrix(v, zset)
-            if lab.config is None:
-                out.append(
-                    CellRecord(
-                        graph=BipartiteSupportGraph(v.d, v.n, _EMPTY),
-                        dimension=v.d - len(zset) - 1,
-                        bounded=(v.d - len(zset) == 1),
-                        in_tcone=False,
-                        stratum=zset,
-                    )
-                )
-                continue
-            original = lab.original_arcs()
-            for local in enumerate_cells(lab.config, candidate_bound=candidate_bound):
-                mapped = frozenset(original[a] for a in local.graph.arcs)
-                out.append(
-                    CellRecord(
-                        graph=BipartiteSupportGraph(v.d, v.n, mapped),
-                        dimension=local.dimension,
-                        bounded=local.bounded,
-                        in_tcone=False,
-                        stratum=zset,
-                    )
-                )
+            out.extend(_cells(v, frozenset(zrows), candidate_bound))
     out.sort(key=CellRecord.sort_key)
     return out
 
@@ -579,10 +537,6 @@ def cell_boundary_restriction(
     Drops the arcs of the deleted rows and of the columns that do not
     survive on the stratum; labels stay original.
     """
-    zset = frozenset(_iterable(z, "a row set"))
-    lab = boundary_matrix(v, zset)
-    cols = set(lab.col_labels)
-    kept = frozenset(
-        (i, j) for (i, j) in g.arcs if i not in zset and j in cols
-    )
+    lab = boundary_matrix(v, z)
+    kept = frozenset((i, j) for (i, j) in g.arcs if i in lab.row_labels and j in lab.col_labels)
     return BipartiteSupportGraph(v.d, v.n, kept)

@@ -22,9 +22,10 @@ from .errors import (
     InconsistentFaceError,
     InfeasibleError,
     ShapeError,
+    ValueTypeError,
 )
 from .matrix import TropicalMatrix
-from .semiring import INF, TVal, _iterable, is_finite, tpoint, tval
+from .semiring import INF, TVal, _index, _iterable, is_finite, tpoint, tval
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,14 @@ class WeightedDigraph:
 
     @classmethod
     def make(cls, k: int, arcs: Mapping[tuple[int, int], object] | Iterable) -> "WeightedDigraph":
-        if k < 1:
+        if _index(k, "a node count") < 1:
             raise ShapeError("node count must be at least 1")
         items = arcs.items() if isinstance(arcs, Mapping) else _iterable(arcs, "arcs")
         clean: dict[tuple[int, int], Fraction] = {}
-        for (i, j), w in items:
+        for item in items:
+            if not isinstance(item, (tuple, list)) or len(item) != 2:
+                raise ValueTypeError(f"cannot interpret {item!r} as an arc and its weight")
+            (i, j), w = _index(item[0], "an arc", pair=True), item[1]
             if not (1 <= i <= k and 1 <= j <= k):
                 raise DomainError(f"arc ({i},{j}) out of range for {k} nodes")
             wv = tval(w)
@@ -99,10 +103,11 @@ class NodePartition:
     @classmethod
     def make(cls, k: int, blocks: Iterable[Iterable[int]]) -> "NodePartition":
         normalized = sorted(
-            tuple(sorted(_iterable(b, "a block"))) for b in _iterable(blocks, "blocks")
+            tuple(sorted(_index(i, "a node") for i in _iterable(b, "a block")))
+            for b in _iterable(blocks, "blocks")
         )
         seen = [i for b in normalized for i in b]
-        if sorted(seen) != list(range(1, k + 1)):
+        if sorted(seen) != list(range(1, _index(k, "a node count") + 1)):
             raise DomainError("blocks must partition 1..k")
         return cls(k, tuple(normalized))
 
@@ -371,7 +376,7 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
 
 def face(w: WeightedDigraph, g: Iterable[tuple[int, int]]) -> WeightedDigraph:
     """The matrix W#G of the face F_G: w_ji is replaced by -w_ij for (i,j) in G."""
-    gset = frozenset(_iterable(g, "arcs"))
+    gset = frozenset(_index(a, "an arc", pair=True) for a in _iterable(g, "arcs"))
     for (i, j) in gset:
         if (i, j) not in w.arcs:
             raise DomainError(f"face arc ({i},{j}) is not an arc of the digraph")
@@ -399,7 +404,7 @@ def intersect(u: WeightedDigraph, w: WeightedDigraph) -> WeightedDigraph:
 
 def project(w: WeightedDigraph, deleted: Iterable[int]) -> WeightedDigraph:
     """Coordinate projection of Q(W): delete rows/columns of W* indexed by I."""
-    dset = frozenset(_iterable(deleted, "a node set"))
+    dset = frozenset(_index(i, "a node") for i in _iterable(deleted, "a node set"))
     if not dset <= set(range(1, w.k + 1)):
         raise DomainError("projection index set out of range")
     if len(dset) == w.k:

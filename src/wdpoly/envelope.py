@@ -25,7 +25,7 @@ from .digraph import (
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
-from .semiring import INF, _iterable, is_finite
+from .semiring import INF, _index, _iterable, is_finite
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,8 @@ class BipartiteSupportGraph:
 
     @classmethod
     def make(cls, d: int, n: int, arcs: Iterable[tuple[int, int]]) -> "BipartiteSupportGraph":
-        aset = frozenset((int(i), int(j)) for i, j in _iterable(arcs, "arcs"))
+        d, n = _index(d, "a row count"), _index(n, "a column count")
+        aset = frozenset(_index(a, "an arc", pair=True) for a in _iterable(arcs, "arcs"))
         for i, j in aset:
             if not (1 <= i <= d and 1 <= j <= n):
                 raise DomainError(f"arc ({i},{j}) outside [{d}]x[{n}]")
@@ -294,17 +295,23 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 # enumeration of covector graphs
 
 
-def _walk(v: PointConfig, candidate_bound: int):
-    """The walk of ``enumerate_covector_graphs``: (arcs of G, scaled star of W#G) per graph."""
-    supports = [v.column_support(j) for j in range(1, v.n + 1)]
+def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozenset()):
+    """The walk of ``enumerate_covector_graphs``: (arcs of G, scaled star of W#G) per graph.
+
+    It walks, in V's own labels, the columns whose support avoids the rows
+    ``stratum``; those rows and the other columns are isolated in every star.
+    """
+    supports = {j: v.column_support(j) for j in range(1, v.n + 1)}
+    cols = [j for j, s in supports.items() if not s & stratum]
     total = 1
-    for s in supports:
-        total *= len(s)
+    for j in cols:
+        total *= len(supports[j])
         if total > candidate_bound:
             raise CapabilityError(
                 f"cell enumeration would scan more than {candidate_bound} seeds"
             )
-    entries = _scaled_entries(v)
+    arcs = sorted((i, j) for j in cols for i in supports[j])
+    entries = _scaled({a: v.entry(*a) for a in arcs})[1]
     nodes = {(i, j): (i - 1, v.d + j - 1, w) for (i, j), w in entries.items()}
     empty: frozenset[tuple[int, int]] = frozenset()
     seen = {empty}
@@ -312,7 +319,7 @@ def _walk(v: PointConfig, candidate_bound: int):
     while stack:
         g, star = stack.pop()
         covered = {j for _, j in g}
-        missing = next((j for j in range(1, v.n + 1) if j not in covered), None)
+        missing = next((j for j in cols if j not in covered), None)
         if missing is None:
             yield g, star
         rest = [(a, rc) for a, rc in nodes.items() if a not in g]

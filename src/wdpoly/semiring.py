@@ -94,6 +94,17 @@ def _iterable(xs, what: str) -> Iterable:
     return xs
 
 
+def _index(x, what: str, pair: bool = False):
+    """A plain int (not a bool), or with ``pair`` a 2-tuple of them; else ``ValueTypeError``."""
+    if pair:
+        xs = x if isinstance(x, tuple) else tuple(_iterable(x, what))
+        if len(xs) == 2 and type(xs[0]) is int and type(xs[1]) is int:
+            return xs
+    elif type(x) is int:
+        return x
+    raise ValueTypeError(f"cannot interpret {x!r} as {what}")
+
+
 def tpoint(xs) -> tuple[TVal, ...]:
     """Coerce a point with ``tval``; a bare string or a non-iterable raises ``ValueTypeError``."""
     return tuple(tval(x) for x in _iterable(xs, "a point"))

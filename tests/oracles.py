@@ -7,8 +7,9 @@ membership via residuation, halfspace membership by comparing sector
 maxima, closed sectors by the stratum rule and the sector inequalities,
 connectivity via networkx, covector closures and enumeration by
 fresh Bellman-Ford rounds and pairwise unions, cell boundedness via the
-projection matrix of the face, and tropical determinants and genericity
-via all permutations of every square submatrix.
+projection matrix of the face, tropical determinants and genericity
+via all permutations of every square submatrix, and the cells of the
+boundary strata via relabelled sub-configurations.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ from wdpoly import (
     INF,
     BipartiteSupportGraph,
     CapabilityError,
+    CellRecord,
     EmptyCellError,
     PointConfig,
     ProjectivePoint,
     TropicalMatrix,
     WeightedDigraph,
+    boundary_matrix,
     detect_negative_cycle,
+    enumerate_cells,
     face_projection_matrix,
     kleene_star,
     trop_mat_mul,
@@ -361,6 +365,38 @@ def closed_sector_by_inequalities(z: ProjectivePoint, u: Sequence[TVal], i: int)
         if not (z.coords[l - 1] - zi <= u[l - 1] - ui):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the projective decomposition stratum by stratum, on sub-configurations
+
+
+def projective_decomposition_by_subconfigs(v: PointConfig) -> list[CellRecord]:
+    """All cells of TP^{d-1}: each stratum's sub-configuration, relabelled.
+
+    The stratum where the rows K are infinite keeps the other rows and the
+    columns whose support avoids K; its torus cells, mapped back to the
+    original labels, are the stratum's cells.  A stratum with no column
+    left is a single cell with an empty graph.
+    """
+    out = []
+    for size in range(v.d):
+        for k in map(frozenset, itertools.combinations(range(1, v.d + 1), size)):
+            if not k:
+                out.extend(enumerate_cells(v))
+                continue
+            lab = boundary_matrix(v, k)
+            if lab.config is None:
+                empty = BipartiteSupportGraph(v.d, v.n, frozenset())
+                out.append(CellRecord(empty, v.d - len(k) - 1, v.d - len(k) == 1, False, k))
+                continue
+            for local in enumerate_cells(lab.config):
+                arcs = frozenset(
+                    (lab.row_labels[i - 1], lab.col_labels[j - 1]) for i, j in local.graph.arcs
+                )
+                g = BipartiteSupportGraph(v.d, v.n, arcs)
+                out.append(CellRecord(g, local.dimension, local.bounded, False, k))
+    return sorted(out, key=CellRecord.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wdpoly import (
     INF,
     BipartiteSupportGraph,
+    CapabilityError,
     DomainError,
     HalfspaceSystem,
     NodePartition,
@@ -21,6 +22,7 @@ from wdpoly import (
     SignVector,
     TropicalError,
     TropicalMatrix,
+    ValueTypeError,
     WeightedDigraph,
     boundary_matrix,
     cell_boundary_restriction,
@@ -47,6 +49,7 @@ from wdpoly import (
 from oracles import (
     closed_sector_by_inequalities,
     membership_against,
+    projective_decomposition_by_subconfigs,
     random_config,
     residuation_member,
     trop_combination,
@@ -398,6 +401,21 @@ def test_cell_boundary_restriction_golden():
     assert restricted.arcs == {(2, 5), (3, 6)}
 
 
+def test_candidate_bound_caps_the_seed_product():
+    v = PointConfig.make([[0, 1], [1, 0]])  # two rows in each column's support: 2 * 2 seeds
+    h = HalfspaceSystem.make(v, G(2, 2, [(1, 1), (1, 2)]))
+    for enumerate_with in (
+        lambda bound: enumerate_cells(v, candidate_bound=bound),
+        lambda bound: regular_subdivision(v, candidate_bound=bound),
+        lambda bound: projective_decomposition(v, candidate_bound=bound),
+        lambda bound: signed_cells(h, candidate_bound=bound),
+        lambda bound: is_pure(h, candidate_bound=bound),
+    ):
+        with pytest.raises(CapabilityError):
+            enumerate_with(3)
+        enumerate_with(4)
+
+
 def test_projective_decomposition_counts_empty_strata():
     v = PointConfig.make([[0, 0], [1, 2]])
     cells = projective_decomposition(v)
@@ -409,7 +427,8 @@ def test_projective_decomposition_counts_empty_strata():
 
 
 # ---------------------------------------------------------------------------
-# counting invariants: they hold at every size, past the reach of the oracles
+# strata against sub-configurations, and counting invariants that hold at
+# every size, past the reach of the oracles
 
 
 @st.composite
@@ -423,6 +442,23 @@ def _configs(draw):
     )
     cols = draw(st.lists(column, min_size=1, max_size=5))
     return PointConfig.make([[c[i] for c in cols] for i in range(d)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_strata_match_the_subconfiguration_oracle(v):
+    cells = projective_decomposition(v)
+    assert cells == projective_decomposition_by_subconfigs(v)
+    support = v.support().arcs
+    for c in cells:
+        # a sample point is infinite exactly on its stratum, and lies in the
+        # closed sectors of the cell's graph and of the stratum's rows
+        z = ProjectivePoint.make(cell_sample_point(v, c))
+        assert {i for i, x in enumerate(z.coords, start=1) if x is INF} == c.stratum
+        closed = {
+            (i, j) for (i, j) in support if closed_sector_by_inequalities(z, v.v.col(j), i)
+        }
+        assert closed == c.graph.arcs | {a for a in support if a[0] in c.stratum}
 
 
 def _euler(cells):
@@ -525,6 +561,42 @@ _ITERABLE_TAKERS = (
     lambda x: cell_boundary_restriction(V5, V5.support(), x),
     lambda x: tcone_membership(V5, x),
 )
+
+
+_V2 = PointConfig.make([[0, 1], [1, 0]])
+_Z2 = ProjectivePoint.make([0, 1])
+_BAD_INDICES = (
+    lambda: WeightedDigraph.make(2, [5]),
+    lambda: WeightedDigraph.make("2", {}),
+    lambda: WeightedDigraph.make(2, {(1, 2.0): 1}),
+    lambda: BipartiteSupportGraph.make(2, 2, [5]),
+    lambda: BipartiteSupportGraph.make(2, 2, [(1, "a")]),
+    lambda: BipartiteSupportGraph.make(2, 2, [(True, 1)]),
+    lambda: NodePartition.make(2, [[1, "a"]]),
+    lambda: NodePartition.make("2", [[1], [2]]),
+    lambda: Sector((0, 1), "1"),
+    lambda: closed_sector_membership(_Z2, (0, 1), "1"),
+    lambda: face(_W2, [(1,)]),
+    lambda: boundary_matrix(_V2, [1.0]),
+)
+_OUT_OF_RANGE = (
+    lambda: WeightedDigraph.make(2, {(1, 3): 1}),
+    lambda: BipartiteSupportGraph.make(2, 2, [(3, 1)]),
+    lambda: NodePartition.make(2, [[1], [3]]),
+    lambda: Sector((0, 1), 3),
+    lambda: closed_sector_membership(_Z2, (0, 1), 0),
+    lambda: face(_W2, [(2, 1)]),
+    lambda: boundary_matrix(_V2, [3]),
+)
+
+
+def test_indices_and_arc_pairs_give_a_tropical_error():
+    for take in _BAD_INDICES:
+        with pytest.raises(ValueTypeError):
+            take()
+    for take in _OUT_OF_RANGE:
+        with pytest.raises(DomainError):
+            take()
 
 
 @settings(max_examples=200, deadline=None)

@@ -266,6 +266,15 @@ def test_cli_capability_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_candidate_bound_exit(tmp_path, capsys):
+    # two rows in each column's support: 2 * 2 seeds
+    path = write(tmp_path, "v.json", {"rows": 2, "cols": 2, "entries": [["0", "1"], ["1", "0"]]})
+    for verb in ("cells", "projective", "subdivision"):
+        assert run([verb, path, "--bound", "3"]) == 3
+        assert run([verb, path, "--bound", "4"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_infeasible_kleene_exit(tmp_path, capsys):
     bad = write(
         tmp_path,
