@@ -213,12 +213,6 @@ class CellRecord:
         )
 
 
-def _in_tcone(g: CovectorGraph) -> bool:
-    rows = {i for (i, _) in g.arcs}
-    cols = {j for (_, j) in g.arcs}
-    return len(rows) == g.d and len(cols) == g.n
-
-
 def _cells(v: PointConfig, stratum: frozenset[int], candidate_bound: int) -> list[CellRecord]:
     """The cells where the rows ``stratum`` are infinite, unsorted, from ``envelope._walk``.
 
@@ -226,22 +220,21 @@ def _cells(v: PointConfig, stratum: frozenset[int], candidate_bound: int) -> lis
     which the dimension leaves out.  X_G is the projection of the face F_G
     to the other rows, cut out by their block of the face's Kleene star; so
     X_G is bounded modulo translation iff that block has no infinite entry.
+    Every graph of the walk covers its walked columns, so X_G lies in the
+    tropical cone iff G also covers every row.
     """
     rows = [i - 1 for i in range(1, v.d + 1) if i not in stratum]
     dropped = sum(any(v.entry(i, j) is not INF for i in stratum) for j in range(1, v.n + 1))
-    records = []
-    for arcs, star in _walk(v, candidate_bound, stratum):
-        g = BipartiteSupportGraph(v.d, v.n, arcs)
-        records.append(
-            CellRecord(
-                graph=g,
-                dimension=g.weak_component_count() - len(stratum) - dropped - 1,
-                bounded=all(star[r][c] is not None for r in rows for c in rows),
-                in_tcone=_in_tcone(g),
-                stratum=stratum,
-            )
+    return [
+        CellRecord(
+            graph=BipartiteSupportGraph(v.d, v.n, arcs),
+            dimension=components - len(stratum) - dropped - 1,
+            bounded=all(star[r][c] is not None for r in rows for c in rows),
+            in_tcone=len({i for i, _ in arcs}) == v.d,
+            stratum=stratum,
         )
-    return records
+        for arcs, star, components in _walk(v, candidate_bound, stratum)
+    ]
 
 
 def enumerate_cells(
@@ -271,6 +264,8 @@ def cell_sample_point(v: PointConfig, cell: CellRecord) -> tuple[TVal, ...]:
     set to infinity: those rows and the columns that meet them carry no
     arc of G, so they do not constrain the other rows.
     """
+    if not isinstance(cell, CellRecord):
+        raise ValueTypeError(f"{cell!r} is not a CellRecord")
     y, _ = interior_point_of_face(v, cell.graph)
     return tuple(INF if i in cell.stratum else x for i, x in enumerate(y, start=1))
 
@@ -316,6 +311,10 @@ class HalfspaceSystem:
 
     def __post_init__(self):
         v, psi = self.config, self.psi
+        if not isinstance(v, PointConfig):
+            raise ValueTypeError(f"{v!r} is not a PointConfig")
+        if not isinstance(psi, BipartiteSupportGraph):
+            raise ValueTypeError(f"{psi!r} is not a BipartiteSupportGraph")
         if (psi.d, psi.n) != (v.d, v.n):
             raise ShapeError("selection shape does not match the configuration")
         support = v.support().arcs
@@ -421,7 +420,7 @@ def signed_cells(
     cell's graph on the surviving columns and lies in every sector i in K.
     """
     v = h.config
-    if v.n > sign_bound:
+    if v.n > _index(sign_bound, "a sign bound"):
         raise CapabilityError(
             f"signed cell enumeration is limited to {sign_bound} columns, got {v.n}"
         )

@@ -541,7 +541,7 @@ def cone_face_lattice(gamma: WeightedDigraph, *, node_bound: int = 10) -> ConeFa
     A partition qualifies iff each block induces a weakly connected
     subgraph and contracting the blocks leaves no directed cycle.
     """
-    if gamma.k > node_bound:
+    if gamma.k > _index(node_bound, "a node bound"):
         raise CapabilityError(
             f"face lattice enumeration is limited to {node_bound} nodes, got {gamma.k}"
         )

@@ -296,11 +296,16 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 
 
 def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozenset()):
-    """The walk of ``enumerate_covector_graphs``: (arcs of G, scaled star of W#G) per graph.
+    """The walk of ``enumerate_covector_graphs``: (arcs, star, components) per graph G.
 
-    It walks, in V's own labels, the columns whose support avoids the rows
-    ``stratum``; those rows and the other columns are isolated in every star.
+    ``star`` is the scaled Kleene star of W#G and ``components`` the number
+    of weak components of G on all d+n nodes, isolated nodes included:
+    each pending graph keeps a component label per node, and a new closure
+    merges the labels along the arcs it adds.  The walk runs, in V's own
+    labels, over the columns whose support avoids the rows ``stratum``;
+    those rows and the other columns are isolated in every star.
     """
+    candidate_bound = _index(candidate_bound, "a candidate bound")
     supports = {j: v.column_support(j) for j in range(1, v.n + 1)}
     cols = [j for j, s in supports.items() if not s & stratum]
     total = 1
@@ -315,13 +320,13 @@ def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozen
     nodes = {(i, j): (i - 1, v.d + j - 1, w) for (i, j), w in entries.items()}
     empty: frozenset[tuple[int, int]] = frozenset()
     seen = {empty}
-    stack = [(empty, _face_star(v, entries, empty))]
+    stack = [(empty, _face_star(v, entries, empty), list(range(v.d + v.n)), v.d + v.n)]
     while stack:
-        g, star = stack.pop()
+        g, star, labels, components = stack.pop()
         covered = {j for _, j in g}
         missing = next((j for j in cols if j not in covered), None)
         if missing is None:
-            yield g, star
+            yield g, star, components
         rest = [(a, rc) for a, rc in nodes.items() if a not in g]
         for a, (r, c, w) in rest:
             if missing is not None and a[1] != missing:
@@ -332,16 +337,23 @@ def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozen
             # S[cb][c] - w + S[r][rb] when that is smaller, and b is tight
             # iff it equals -wb.
             from_r = star[r]
-            closed = g.union(
+            added = [
                 b
                 for b, (rb, cb, wb) in rest
                 if (x := star[cb][c]) is not None
                 and (y := from_r[rb]) is not None
                 and x + y + wb == w
-            )
+            ]
+            closed = g.union(added)
             if closed not in seen:
                 seen.add(closed)
-                stack.append((closed, _tighten(star, r, c, w)))
+                merged, count = list(labels), components
+                for b in added:
+                    x, y = merged[nodes[b][0]], merged[nodes[b][1]]
+                    if x != y:
+                        merged = [x if z == y else z for z in merged]
+                        count -= 1
+                stack.append((closed, _tighten(star, r, c, w), merged, count))
 
 
 def enumerate_covector_graphs(
@@ -358,7 +370,7 @@ def enumerate_covector_graphs(
     every support arc.  If H contains G and a is in H but not in G, then
     closure(G+a) lies in H, so every graph above those is reached.
     """
-    graphs = [BipartiteSupportGraph(v.d, v.n, g) for g, _ in _walk(v, candidate_bound)]
+    graphs = [BipartiteSupportGraph(v.d, v.n, g) for g, _, _ in _walk(v, candidate_bound)]
     return sorted(graphs, key=lambda g: (len(g.arcs), g.sorted_arcs()))
 
 
@@ -374,17 +386,6 @@ class SubdivisionCell:
     dimension: int
 
 
-def _subdivision_dimension(g: BipartiteSupportGraph) -> int:
-    """Dimension of conv{e_i (+) e_j : (i,j) in G}.
-
-    Each weak component with a nodes contributes a simplex-like factor of
-    dimension a - 2, and joining k components adds k - 1.
-    """
-    comps = g.nontrivial_components()
-    touched = sum(len(r) + len(c) for r, c in comps)
-    return touched - len(comps) - 1
-
-
 def regular_subdivision(
     v: PointConfig, *, candidate_bound: int = 1_000_000
 ) -> list[SubdivisionCell]:
@@ -393,12 +394,13 @@ def regular_subdivision(
     The maximal cells are exactly the inclusion-maximal covector graphs,
     which label the minimal faces of the envelope.  A face is minimal iff
     its dimension is that of the lineality space, i.e. iff its graph has
-    as many weak components as the support.
+    as many weak components as the support.  The cell conv{e_i (+) e_j :
+    (i,j) in G} then has dimension d + n - (weak components of G) - 1.
     """
     minimal = v.support().weak_component_count()
     cells = [
-        SubdivisionCell(g.arcs, _subdivision_dimension(g))
-        for g in enumerate_covector_graphs(v, candidate_bound=candidate_bound)
-        if g.weak_component_count() == minimal
+        SubdivisionCell(arcs, v.d + v.n - components - 1)
+        for arcs, _, components in _walk(v, candidate_bound)
+        if components == minimal
     ]
     return sorted(cells, key=lambda c: tuple(sorted(c.vertices)))

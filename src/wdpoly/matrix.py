@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ShapeError
-from .semiring import INF, TVal, _iterable, tadd, tmul, tsum, tval
+from .semiring import INF, TVal, _index, _iterable, tadd, tmul, tsum, tval
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def trop_det(a: TropicalMatrix, *, perm_bound: int = 9) -> TropicalDetResult:
     if not a.is_square:
         raise ShapeError("tropical determinant needs a square matrix")
     k = a.rows
-    if k > perm_bound:
+    if k > _index(perm_bound, "a permutation bound"):
         raise CapabilityError(f"tropical determinant is limited to k <= {perm_bound}, got {k}")
     levels = tuple(itertools.accumulate(a.entries, _add_row, initial={0: (Fraction(0), 1)}))
     value, count = levels[-1].get((1 << k) - 1, (INF, 0))

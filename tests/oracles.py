@@ -2,14 +2,15 @@
 
 Each oracle computes its answer by a different route than the library:
 shortest paths via the matrix power formula, feasibility via exhaustive
-simple-cycle enumeration, subdivisions via the lifted lower hull, cone
-membership via residuation, halfspace membership by comparing sector
-maxima, closed sectors by the stratum rule and the sector inequalities,
-connectivity via networkx, covector closures and enumeration by
-fresh Bellman-Ford rounds and pairwise unions, cell boundedness via the
-projection matrix of the face, tropical determinants and genericity
-via all permutations of every square submatrix, and the cells of the
-boundary strata via relabelled sub-configurations.
+simple-cycle enumeration, subdivisions via the lifted lower hull and
+their cell dimensions via the nontrivial components, cone membership
+via residuation, halfspace membership by comparing sector maxima, closed
+sectors by the stratum rule and the sector inequalities, connectivity
+via networkx, covector closures and enumeration by fresh Bellman-Ford
+rounds and pairwise unions, cell boundedness via the projection matrix
+of the face, tropical determinants and genericity via all permutations
+of every square submatrix, and the cells of the boundary strata via
+relabelled sub-configurations.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def lower_hull_cells(v: PointConfig) -> set[frozenset[tuple[int, int]]]:
 
     Works directly on the polyhedron y_i - z_j <= v_ij: a maximal cell is
     the tight set of a minimal face, and every minimal face is spanned by
-    a forest with one tree per weak component of the support.  Enumerate
-    all such forests, propagate the unique solution along the tree edges,
-    keep the feasible ones, and record their full tight sets.
+    a forest with one tree per weak component of the support.  Grow all
+    such forests one support arc at a time, solving y_i - z_j = v_ij along
+    their arcs, keep the feasible ones, and record their full tight sets.
     """
     d, n = v.d, v.n
     support = sorted(v.support().arcs)
@@ -138,39 +139,45 @@ def lower_hull_cells(v: PointConfig) -> set[frozenset[tuple[int, int]]]:
     und = nx.Graph()
     und.add_nodes_from(range(1, nodes + 1))
     und.add_edges_from((i, d + j) for (i, j) in support)
-    comps = list(nx.connected_components(und))
-    forest_size = nodes - len(comps)
+    forest_size = nodes - nx.number_connected_components(und)
 
     out: set[frozenset[tuple[int, int]]] = set()
-    for sel in itertools.combinations(support, forest_size):
-        f = nx.Graph()
-        f.add_nodes_from(range(1, nodes + 1))
-        f.add_edges_from((i, d + j) for (i, j) in sel)
-        if nx.number_connected_components(f) != len(comps):
-            continue
-        # propagate y_i - z_j = v_ij along the forest
-        val: dict[int, Fraction] = {}
-        lookup = {(i, d + j): v.entry(i, j) for (i, j) in sel}
-        for comp in nx.connected_components(f):
-            root = min(comp)
-            val[root] = Fraction(0)
-            for a, b in nx.bfs_edges(f, root):
-                if (a, b) in lookup:  # a is the row side
-                    val[b] = val[a] - lookup[(a, b)]
-                else:
-                    val[b] = val[a] + lookup[(b, a)]
-        feasible = True
-        tight = set()
-        for (i, j) in support:
-            slack = v.entry(i, j) - (val[i] - val[d + j])
-            if slack < 0:
-                feasible = False
-                break
-            if slack == 0:
-                tight.add((i, j))
-        if feasible:
-            out.add(frozenset(tight))
+
+    def grow(start, tree, val, left):
+        # tree[x] names the tree of node x.  Joining two trees shifts one of
+        # them as a whole, so a support arc inside a tree keeps its slack,
+        # and a negative one rules out every larger forest.
+        if left == 0:
+            out.add(frozenset((i, j) for (i, j) in support if val[i] - val[d + j] == v.entry(i, j)))
+            return
+        for k in range(start, len(support) - left + 1):
+            i, j = support[k]
+            a, b = tree[i], tree[d + j]
+            if a == b:
+                continue  # the arc closes a cycle
+            shift = val[i] - v.entry(i, j) - val[d + j]
+            joined = [a if t == b else t for t in tree]
+            moved = [x + shift if t == b else x for x, t in zip(val, tree)]
+            if all(
+                moved[p] - moved[d + q] <= v.entry(p, q)
+                for (p, q) in support
+                if joined[p] == joined[d + q]
+            ):
+                grow(k + 1, joined, moved, left - 1)
+
+    grow(0, list(range(nodes + 1)), [Fraction(0)] * (nodes + 1), forest_size)
     return out
+
+
+def subdivision_dimension(g: BipartiteSupportGraph) -> int:
+    """Dimension of conv{e_i (+) e_j : (i,j) in G}, from G's nontrivial components.
+
+    Each weak component with a nodes contributes a simplex-like factor of
+    dimension a - 2, and joining k components adds k - 1.
+    """
+    comps = g.nontrivial_components()
+    touched = sum(len(r) + len(c) for r, c in comps)
+    return touched - len(comps) - 1
 
 
 # ---------------------------------------------------------------------------

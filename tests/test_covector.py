@@ -29,6 +29,7 @@ from wdpoly import (
     cell_sample_point,
     cells_of_halfspace,
     closed_sector_membership,
+    cone_face_lattice,
     covector_of_point,
     enumerate_cells,
     face,
@@ -44,14 +45,17 @@ from wdpoly import (
     signed_graph,
     tangent_digraph,
     tcone_membership,
+    trop_det,
 )
 
 from oracles import (
     closed_sector_by_inequalities,
+    lower_hull_cells,
     membership_against,
     projective_decomposition_by_subconfigs,
     random_config,
     residuation_member,
+    subdivision_dimension,
     trop_combination,
 )
 
@@ -477,6 +481,20 @@ def test_euler_characteristics(v):
         assert _euler(c for c in cells if c.bounded) == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(_configs())
+def test_carried_component_counts_match_a_fresh_count(v):
+    # the walk carries each graph's weak-component count; recount it here
+    for c in projective_decomposition(v):
+        dropped = sum(bool(v.column_support(j) & c.stratum) for j in range(1, v.n + 1))
+        assert c.dimension == c.graph.weak_component_count() - len(c.stratum) - dropped - 1
+    cells = regular_subdivision(v)
+    for c in cells:
+        assert c.dimension == subdivision_dimension(BipartiteSupportGraph(v.d, v.n, c.vertices))
+    hull = lower_hull_cells(v)
+    assert len(cells) == len(hull) and {c.vertices for c in cells} == hull
+
+
 @pytest.mark.parametrize("d, n", [(3, 3), (3, 4), (4, 4), (4, 5), (5, 6)])
 def test_generic_f_vectors(d, n):
     rng = random.Random(100 * d + n)
@@ -596,6 +614,28 @@ def test_indices_and_arc_pairs_give_a_tropical_error():
             take()
     for take in _OUT_OF_RANGE:
         with pytest.raises(DomainError):
+            take()
+
+
+_H2 = HalfspaceSystem.make(_V2, G(2, 2, [(1, 1), (1, 2)]))
+_BAD_BOUNDS_AND_OBJECTS = (
+    lambda: enumerate_cells(_V2, candidate_bound="5"),
+    lambda: enumerate_cells(_V2, candidate_bound=5.0),
+    lambda: regular_subdivision(_V2, candidate_bound=True),
+    lambda: signed_cells(_H2, sign_bound="3"),
+    lambda: signed_cells(_H2, sign_bound=3.0),
+    lambda: cone_face_lattice(_W2, node_bound="3"),
+    lambda: cone_face_lattice(_W2, node_bound=True),
+    lambda: trop_det(TropicalMatrix.make([[0, 1], [1, 0]]), perm_bound="3"),
+    lambda: HalfspaceSystem.make(_V2, [(1, 1)]),
+    lambda: HalfspaceSystem.make([[0, 1], [1, 0]], G(2, 2, [(1, 1), (1, 2)])),
+    lambda: cell_sample_point(_V2, "x"),
+)
+
+
+def test_keyword_bounds_and_object_arguments_give_a_tropical_error():
+    for take in _BAD_BOUNDS_AND_OBJECTS:
+        with pytest.raises(ValueTypeError):
             take()
 
 

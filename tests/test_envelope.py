@@ -25,6 +25,7 @@ from wdpoly import (
     membership,
     regular_subdivision,
 )
+from wdpoly import envelope
 
 from oracles import (
     bounded_by_projection,
@@ -185,6 +186,17 @@ def test_subdivision_of_a_unit_square_with_tilt():
         frozenset({(1, 2), (2, 1), (2, 2)}),
     }
     assert all(c.dimension == 2 for c in cells)
+
+
+def test_subdivision_does_not_enumerate_the_graphs_first(monkeypatch):
+    # the subdivision reads its cells off one walk, without sorting every graph
+    def refuse(*args, **kwargs):
+        raise AssertionError("regular_subdivision called enumerate_covector_graphs")
+
+    monkeypatch.setattr(envelope, "enumerate_covector_graphs", refuse)
+    v = PointConfig.make([[0, 0, 0], [0, 1, 2], [0, 2, 4]])
+    got = {c.vertices for c in regular_subdivision(v)}
+    assert got == lower_hull_cells(v)
 
 
 def test_subdivision_matches_lower_hull_oracle_on_fixed_inputs():
