@@ -154,6 +154,8 @@ def _cmd_tangent(args) -> int:
     graph = fmt.parse_support_graph(fmt.load_json(args.cell), args.cell)
     if not env.is_covector_graph(system.config, graph):
         raise EmptyCellError("the given graph is not a cell of the decomposition")
+    if len({j for _, j in graph.arcs}) < graph.n:
+        raise EmptyCellError("the given graph misses a column, so it is no torus cell")
     record = cov.CellRecord(
         graph=graph,
         dimension=graph.weak_component_count() - 1,

@@ -23,7 +23,7 @@ from .envelope import (
     interior_point_of_face,
 )
 from .errors import CapabilityError, DomainError, ShapeError, ValueTypeError
-from .semiring import INF, TVal, _index, _iterable, is_finite, tpoint
+from .semiring import INF, TVal, _index, _iterable, _position, is_finite, tpoint
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +43,7 @@ class Sector:
 
     def __post_init__(self):
         object.__setattr__(self, "apex", tpoint(self.apex))
-        _index(self.index, "a sector index")
-        if not (1 <= self.index <= len(self.apex)):
-            raise DomainError("sector index out of range")
+        _position(self.index, len(self.apex), "sector")
         if self.apex[self.index - 1] is INF:
             raise DomainError(f"apex coordinate {self.index} is infinite")
 
@@ -105,8 +103,7 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
     u = tpoint(u)
     if len(u) != z.d:
         raise ShapeError("apex dimension does not match the point")
-    if not 1 <= _index(i, "a sector index") <= z.d:
-        raise DomainError(f"sector index {i} is not in 1..{z.d}")
+    _position(i, z.d, "sector")
     if u[i - 1] is INF:
         raise DomainError(f"index {i} is not in the support of the apex")
     return (i, 1) in _covector(PointConfig.make([[x] for x in u]), z.coords).arcs
@@ -124,11 +121,11 @@ def _covector(v: PointConfig, pt: Sequence[TVal]) -> CovectorGraph:
     v_ij - pt_i.
     """
     arcs = set()
-    for j in range(1, v.n + 1):
-        supp = [i for i in range(1, v.d + 1) if v.entry(i, j) is not INF]
+    for j, col in enumerate(zip(*v.v.entries), start=1):
+        supp = [i for i in range(1, v.d + 1) if col[i - 1] is not INF]
         rows = [i for i in supp if pt[i - 1] is INF]
         if not rows:
-            vals = [v.entry(i, j) - pt[i - 1] for i in supp]
+            vals = [col[i - 1] - pt[i - 1] for i in supp]
             best = min(vals)
             rows = [i for i, val in zip(supp, vals) if val == best]
         arcs.update((i, j) for i in rows)
@@ -148,13 +145,11 @@ def covector_of_point(v: PointConfig, x: Sequence) -> CovectorGraph:
 def tcone_witness(v: PointConfig, z: ProjectivePoint) -> tuple[TVal, ...]:
     """The canonical multipliers: lambda_j = max_i (z_i - v_ij) over finite v_ij."""
     lam: list[TVal] = []
-    for j in range(1, v.n + 1):
+    for col in zip(*v.v.entries):
         best: TVal | None = None
-        for i in range(1, v.d + 1):
-            vij = v.entry(i, j)
+        for vij, zi in zip(col, z.coords):
             if vij is INF:
                 continue
-            zi = z.coords[i - 1]
             if zi is INF:
                 best = INF
                 break
@@ -224,7 +219,7 @@ def _cells(v: PointConfig, stratum: frozenset[int], candidate_bound: int) -> lis
     tropical cone iff G also covers every row.
     """
     rows = [i - 1 for i in range(1, v.d + 1) if i not in stratum]
-    dropped = sum(any(v.entry(i, j) is not INF for i in stratum) for j in range(1, v.n + 1))
+    dropped = sum(any(col[i - 1] is not INF for i in stratum) for col in zip(*v.v.entries))
     return [
         CellRecord(
             graph=BipartiteSupportGraph(v.d, v.n, arcs),
@@ -418,22 +413,23 @@ def signed_cells(
     closed graph of a cell on the stratum K adds to its covector graph
     the support arcs of the rows in K: a relative-interior point has the
     cell's graph on the surviving columns and lies in every sector i in K.
+    Its arc (i, j) admits "+" for column j if it lies in psi and "-" if
+    not, so a cell goes under every product of its per-column sign sets.
     """
     v = h.config
     if v.n > _index(sign_bound, "a sign bound"):
         raise CapabilityError(
             f"signed cell enumeration is limited to {sign_bound} columns, got {v.n}"
         )
-    support = v.support()
-    closed = [
-        (c, c.graph.arcs | {a for a in support.arcs if a[0] in c.stratum})
-        for c in projective_decomposition(v, candidate_bound=candidate_bound)
-    ]
-    out: dict[str, list[CellRecord]] = {}
-    for signs in itertools.product("+-", repeat=v.n):
-        eps = SignVector.make(signs)
-        psi_e = signed_graph(h.psi, eps, support)
-        out[str(eps)] = [c for c, arcs in closed if _covers_columns(arcs, psi_e)]
+    support = v.support().arcs
+    out = {"".join(signs): [] for signs in itertools.product("+-", repeat=v.n)}
+    for c in projective_decomposition(v, candidate_bound=candidate_bound):
+        closed = c.graph.arcs | {a for a in support if a[0] in c.stratum}
+        plus = {j for (i, j) in closed if (i, j) in h.psi.arcs}
+        minus = {j for (i, j) in closed if (i, j) not in h.psi.arcs}
+        allowed = ["+" * (j in plus) + "-" * (j in minus) for j in range(1, v.n + 1)]
+        for signs in itertools.product(*allowed):
+            out["".join(signs)].append(c)
     return out
 
 

@@ -10,7 +10,6 @@ face lattices of zero-weight digraph cones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -25,7 +24,7 @@ from .errors import (
     ValueTypeError,
 )
 from .matrix import TropicalMatrix
-from .semiring import INF, TVal, _index, _iterable, is_finite, tpoint, tval
+from .semiring import INF, TVal, _index, _iterable, tpoint, tval
 
 
 @dataclass(frozen=True)
@@ -62,10 +61,10 @@ class WeightedDigraph:
         if not m.is_square:
             raise ShapeError("weighted digraph needs a square matrix")
         arcs = {
-            (i, j): m.entry(i, j)
-            for i in range(1, m.rows + 1)
-            for j in range(1, m.cols + 1)
-            if is_finite(m.entry(i, j))
+            (i, j): x
+            for i, row in enumerate(m.entries, start=1)
+            for j, x in enumerate(row, start=1)
+            if x is not INF
         }
         return cls(m.rows, arcs)
 
@@ -154,53 +153,12 @@ def weak_components(k: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int, 
 
 
 def strong_components(k: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Strongly connected components (iterative Tarjan), sorted by least element."""
-    succ: dict[int, list[int]] = {v: [] for v in range(1, k + 1)}
-    for i, j in arcs:
-        if i != j:
-            succ[i].append(j)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    out: list[tuple[int, ...]] = []
-    counter = itertools.count()
-    for root in range(1, k + 1):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(tuple(sorted(comp)))
-    return sorted(out)
+    """Strongly connected components, sorted by least element.
+
+    They are the equality partition of the zero-weight digraph on the same
+    arcs: two nodes share a zero-weight cycle iff each reaches the other.
+    """
+    return list(equality_partition(WeightedDigraph.make(k, dict.fromkeys(arcs, 0))).blocks)
 
 
 def _induced_connected(nodes: frozenset[int], arcs: Iterable[tuple[int, int]]) -> bool:

@@ -25,7 +25,7 @@ from .digraph import (
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
-from .semiring import INF, _index, _iterable, is_finite
+from .semiring import INF, _index, _iterable, _position
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class PointConfig:
     v: TropicalMatrix
 
     def __post_init__(self):
-        for j in range(1, self.v.cols + 1):
-            if all(x is INF for x in self.v.col(j)):
+        for j, col in enumerate(zip(*self.v.entries), start=1):
+            if all(x is INF for x in col):
                 raise DomainError(f"column {j} is entirely infinite")
 
     @classmethod
@@ -61,16 +61,15 @@ class PointConfig:
             self.n,
             frozenset(
                 (i, j)
-                for i in range(1, self.d + 1)
-                for j in range(1, self.n + 1)
-                if is_finite(self.v.entry(i, j))
+                for i, row in enumerate(self.v.entries, start=1)
+                for j, x in enumerate(row, start=1)
+                if x is not INF
             ),
         )
 
     def column_support(self, j: int) -> frozenset[int]:
-        return frozenset(
-            i for i in range(1, self.d + 1) if is_finite(self.v.entry(i, j))
-        )
+        c = _position(j, self.n, "column")
+        return frozenset(i for i, row in enumerate(self.v.entries, start=1) if row[c] is not INF)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +148,7 @@ def envelope_digraph(v: PointConfig) -> WeightedDigraph:
     else, so the digraph is structurally acyclic and always feasible.
     """
     arcs = {
-        (i, v.d + j): v.entry(i, j)
+        (i, v.d + j): v.v.entries[i - 1][j - 1]
         for (i, j) in v.support().arcs
     }
     return WeightedDigraph(v.d + v.n, arcs)
@@ -177,7 +176,7 @@ def _validate_subgraph(v: PointConfig, g: BipartiteSupportGraph) -> None:
 
 def _scaled_entries(v: PointConfig) -> dict[tuple[int, int], int]:
     """The finite entries of V scaled to ints, by support arc in sorted order."""
-    return _scaled({a: v.entry(*a) for a in sorted(v.support().arcs)})[1]
+    return _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in sorted(v.support().arcs)})[1]
 
 
 def _tighten(star: list[list], r: int, c: int, w: int) -> list[list]:
@@ -284,7 +283,7 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
         raise EmptyCellError("face is empty")
     vg = TropicalMatrix.make(
         [
-            [-v.entry(i, j) if (i, j) in g.arcs else INF for i in range(1, v.d + 1)]
+            [-row[j - 1] if (i, j) in g.arcs else INF for i, row in enumerate(v.v.entries, start=1)]
             for j in range(1, v.n + 1)
         ]
     )
@@ -316,7 +315,7 @@ def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozen
                 f"cell enumeration would scan more than {candidate_bound} seeds"
             )
     arcs = sorted((i, j) for j in cols for i in supports[j])
-    entries = _scaled({a: v.entry(*a) for a in arcs})[1]
+    entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
     nodes = {(i, j): (i - 1, v.d + j - 1, w) for (i, j), w in entries.items()}
     empty: frozenset[tuple[int, int]] = frozenset()
     seen = {empty}

@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ShapeError
-from .semiring import INF, TVal, _index, _iterable, tadd, tmul, tsum, tval
+from .semiring import INF, TVal, _index, _iterable, _position, tadd, tmul, tsum, tval
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,14 @@ class TropicalMatrix:
 
     def entry(self, i: int, j: int) -> TVal:
         """Entry at 1-based position (i, j)."""
-        return self.entries[i - 1][j - 1]
+        return self.entries[_position(i, self.rows, "row")][_position(j, self.cols, "column")]
 
     def row(self, i: int) -> tuple[TVal, ...]:
-        return self.entries[i - 1]
+        return self.entries[_position(i, self.rows, "row")]
 
     def col(self, j: int) -> tuple[TVal, ...]:
-        return tuple(r[j - 1] for r in self.entries)
+        c = _position(j, self.cols, "column")
+        return tuple(r[c] for r in self.entries)
 
     @property
     def is_square(self) -> bool:
@@ -80,10 +81,10 @@ class TropicalMatrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "TropicalMatrix":
         """Submatrix by 1-based row and column index sequences."""
+        rs = [_position(i, self.rows, "row") for i in rows]
+        cs = [_position(j, self.cols, "column") for j in cols]
         return TropicalMatrix(
-            len(rows),
-            len(cols),
-            tuple(tuple(self.entries[i - 1][j - 1] for j in cols) for i in rows),
+            len(rs), len(cs), tuple(tuple(self.entries[i][j] for j in cs) for i in rs)
         )
 
 

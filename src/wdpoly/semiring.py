@@ -105,6 +105,13 @@ def _index(x, what: str, pair: bool = False):
     raise ValueTypeError(f"cannot interpret {x!r} as {what}")
 
 
+def _position(i, size: int, what: str) -> int:
+    """0-based position of the 1-based index ``i``; ``DomainError`` outside 1..size."""
+    if not 1 <= _index(i, f"a {what} index") <= size:
+        raise DomainError(f"{what} index {i} is not in 1..{size}")
+    return i - 1
+
+
 def tpoint(xs) -> tuple[TVal, ...]:
     """Coerce a point with ``tval``; a bare string or a non-iterable raises ``ValueTypeError``."""
     return tuple(tval(x) for x in _iterable(xs, "a point"))

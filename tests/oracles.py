@@ -6,11 +6,13 @@ simple-cycle enumeration, subdivisions via the lifted lower hull and
 their cell dimensions via the nontrivial components, cone membership
 via residuation, halfspace membership by comparing sector maxima, closed
 sectors by the stratum rule and the sector inequalities, connectivity
-via networkx, covector closures and enumeration by fresh Bellman-Ford
-rounds and pairwise unions, cell boundedness via the projection matrix
-of the face, tropical determinants and genericity via all permutations
-of every square submatrix, and the cells of the boundary strata via
-relabelled sub-configurations.
+and strong components via networkx, covector closures and enumeration
+by fresh Bellman-Ford rounds and pairwise unions, cell boundedness via
+the projection matrix of the face, tropical determinants and genericity
+via all permutations of every square submatrix, the cells of the
+boundary strata via relabelled sub-configurations, and signed cells by
+one flipped selection per sign vector.  Only names that ``wdpoly``
+exports are used, so no oracle shares a private helper with the library.
 """
 
 from __future__ import annotations
@@ -26,22 +28,29 @@ from wdpoly import (
     BipartiteSupportGraph,
     CapabilityError,
     CellRecord,
+    DomainError,
     EmptyCellError,
+    HalfspaceSystem,
     PointConfig,
     ProjectivePoint,
+    ShapeError,
+    SignVector,
     TropicalMatrix,
+    TVal,
     WeightedDigraph,
     boundary_matrix,
     detect_negative_cycle,
     enumerate_cells,
+    envelope_digraph,
+    face,
     face_projection_matrix,
     kleene_star,
+    projective_decomposition,
+    signed_graph,
+    tmul,
     trop_mat_mul,
     tval,
 )
-from wdpoly.digraph import strong_components
-from wdpoly.semiring import TVal, tmul
-from wdpoly.envelope import _face_digraph, _validate_subgraph
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +193,25 @@ def subdivision_dimension(g: BipartiteSupportGraph) -> int:
 # covector closure by rounds, enumeration by pairwise unions
 
 
+def face_digraph(v: PointConfig, g: BipartiteSupportGraph) -> WeightedDigraph:
+    """The digraph W#G of the face F_G of the envelope W of V."""
+    return face(envelope_digraph(v), {(i, v.d + j) for (i, j) in g.arcs})
+
+
 def covector_closure_by_rounds(v: PointConfig, g: BipartiteSupportGraph):
     """Smallest covector graph containing G.
 
     Iteratively adds every support arc lying on a zero-weight cycle of
     the face digraph; fails if the face is empty.
     """
-    _validate_subgraph(v, g)
     support = v.support().arcs
+    if (g.d, g.n) != (v.d, v.n):
+        raise ShapeError("graph shape does not match the configuration")
+    if not g.arcs <= support:
+        raise DomainError(f"arcs {sorted(g.arcs - support)} are not in the support of V")
     current = set(g.arcs)
     while True:
-        wg = _face_digraph(v, BipartiteSupportGraph(v.d, v.n, frozenset(current)))
+        wg = face_digraph(v, BipartiteSupportGraph(v.d, v.n, frozenset(current)))
         cyc = detect_negative_cycle(wg)
         if cyc is not None:
             raise EmptyCellError(f"face is empty: negative cycle {cyc}")
@@ -231,7 +248,7 @@ def enumerate_covector_graphs_by_unions(
         g = BipartiteSupportGraph(
             v.d, v.n, frozenset((i, j) for j, i in enumerate(choice, start=1))
         )
-        if detect_negative_cycle(_face_digraph(v, g)) is not None:
+        if detect_negative_cycle(face_digraph(v, g)) is not None:
             continue
         closed = covector_closure_by_rounds(v, g)
         found.setdefault(closed.arcs, closed)
@@ -245,7 +262,7 @@ def enumerate_covector_graphs_by_unions(
                 if union in found:
                     continue
                 g = BipartiteSupportGraph(v.d, v.n, union)
-                if detect_negative_cycle(_face_digraph(v, g)) is not None:
+                if detect_negative_cycle(face_digraph(v, g)) is not None:
                     continue
                 closed = covector_closure_by_rounds(v, g)
                 if closed.arcs not in found:
@@ -262,13 +279,40 @@ def bounded_by_projection(v: PointConfig, g: BipartiteSupportGraph) -> bool:
     digraph of its finite off-diagonal entries is strongly connected.
     """
     m = face_projection_matrix(v, g)
-    arcs = [
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(1, v.d + 1))
+    digraph.add_edges_from(
         (i, l)
         for i in range(1, v.d + 1)
         for l in range(1, v.d + 1)
         if i != l and m.entry(i, l) is not INF
+    )
+    return len(list(nx.strongly_connected_components(digraph))) == 1
+
+
+# ---------------------------------------------------------------------------
+# signed cells by one flipped selection per sign vector
+
+
+def signed_cells_by_signs(h: HalfspaceSystem) -> dict[str, list[CellRecord]]:
+    """``signed_cells`` with one flipped selection per sign vector, 2^n in all.
+
+    A cell of TP^{d-1} goes under a sign vector when its closed graph (its
+    covector graph plus the support arcs of its stratum's rows) keeps an arc
+    of the flipped selection in every column.
+    """
+    v = h.config
+    support = v.support()
+    closed = [
+        (c, c.graph.arcs | {a for a in support.arcs if a[0] in c.stratum})
+        for c in projective_decomposition(v)
     ]
-    return len(strong_components(v.d, arcs)) == 1
+    out = {}
+    for signs in itertools.product("+-", repeat=v.n):
+        eps = SignVector.make(signs)
+        flipped = signed_graph(h.psi, eps, support).arcs
+        out[str(eps)] = [c for c, arcs in closed if len({j for _, j in arcs & flipped}) == v.n]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from oracles import (
     projective_decomposition_by_subconfigs,
     random_config,
     residuation_member,
+    signed_cells_by_signs,
     subdivision_dimension,
     trop_combination,
 )
@@ -654,3 +655,28 @@ def test_non_iterables_and_bare_strings_give_a_tropical_error(x):
     else:
         with pytest.raises(TropicalError):
             SignVector.make(x)
+
+
+# ---------------------------------------------------------------------------
+# signed cells by per-column sign sets, against one flipped selection per sign
+
+
+@st.composite
+def _systems(draw):
+    """A ``_configs`` draw with n <= 4, each column selecting some of its support rows."""
+    v = draw(_configs().filter(lambda v: v.n <= 4))
+    psi = set()
+    for j in range(1, v.n + 1):
+        rows = sorted(v.column_support(j))
+        psi.update((i, j) for i in draw(st.sets(st.sampled_from(rows), min_size=1)))
+    return HalfspaceSystem.make(v, G(v.d, v.n, psi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_signed_cells_match_the_per_sign_oracle(h):
+    table = signed_cells(h)
+    expect = signed_cells_by_signs(h)
+    assert list(table) == list(expect)
+    assert table == expect
+

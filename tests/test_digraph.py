@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdpoly import (
     INF,
@@ -32,6 +35,7 @@ from oracles import (
     all_partitions,
     kleene_by_powers,
     min_cycle_weight,
+    nx_digraph,
     nx_partition_qualifies,
     random_digraph,
 )
@@ -316,3 +320,31 @@ def test_component_helpers():
     arcs = [(1, 2), (2, 1), (3, 4)]
     assert weak_components(5, arcs) == [(1, 2), (3, 4), (5,)]
     assert strong_components(5, arcs) == [(1, 2), (3,), (4,), (5,)]
+
+
+@st.composite
+def _weighted_digraphs(draw):
+    """k <= 12 nodes, arcs with loops, weights in -2..2; unused nodes stay isolated."""
+    k = draw(st.integers(1, 12))
+    node = st.integers(1, k)
+    arcs = draw(st.dictionaries(st.tuples(node, node), st.integers(-2, 2), max_size=3 * k))
+    return WeightedDigraph.make(k, arcs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_digraphs())
+def test_strong_components_match_networkx(w):
+    expect = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(nx_digraph(w)))
+    assert strong_components(w.k, w.arcs) == expect
+    reduced, part = acyclic_reduction(w)
+    assert list(part.blocks) == expect
+    block = {v: t for t, b in enumerate(part.blocks, start=1) for v in b}
+    cross = {(block[i], block[j]) for i, j in w.arcs if block[i] != block[j]}
+    assert reduced.k == len(expect) and set(reduced.arcs) == cross
+    assert nx.is_directed_acyclic_graph(nx_digraph(reduced))
+
+
+def test_strong_components_refuse_arcs_outside_the_nodes():
+    for arcs in ([(0, 1)], [(1, 3)], [(1, -1)]):
+        with pytest.raises(DomainError):
+            strong_components(2, arcs)

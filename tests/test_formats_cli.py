@@ -298,3 +298,23 @@ def test_cli_export_dot_and_svg(tmp_path, capsys):
     out = tmp_path / "pic.svg"
     assert run(["plot-svg", vpath, "-o", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("<svg")
+
+
+@pytest.mark.parametrize("arcs", [[], [[1, 1]]], ids=["empty", "one column"])
+def test_cli_tangent_refuses_a_graph_that_misses_a_column(tmp_path, capsys, arcs):
+    system = write(
+        tmp_path,
+        "h.json",
+        {
+            "matrix": {"rows": 2, "cols": 2, "entries": [["0", "1"], ["2", "0"]]},
+            "selection": [[1, 1], [2, 2]],
+        },
+    )
+    cell = write(tmp_path, "g.json", {"d": 2, "n": 2, "arcs": arcs})
+    assert run(["tangent", system, cell]) == 1
+    assert "misses a column" in capsys.readouterr().err
+    # the covector graph of the origin covers both columns
+    torus = write(tmp_path, "t.json", {"d": 2, "n": 2, "arcs": [[1, 1], [2, 2]]})
+    assert run(["tangent", system, torus]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"columns": [], "row_to_col": [], "col_to_row": []}

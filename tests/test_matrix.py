@@ -10,8 +10,11 @@ from oracles import is_generic_by_minors, trop_det_by_permutations
 from wdpoly import (
     INF,
     CapabilityError,
+    DomainError,
+    PointConfig,
     ShapeError,
     TropicalMatrix,
+    ValueTypeError,
     is_generic,
     trop_det,
     trop_mat_mul,
@@ -143,3 +146,34 @@ def test_trop_det_matches_the_permutation_oracle(a):
 @given(_matrices(4, 5))
 def test_is_generic_matches_the_minor_oracle(v):
     assert is_generic(v) == is_generic_by_minors(v)
+
+
+_PC = PointConfig.make([[0, "inf"], [2, 5]])
+
+
+@pytest.mark.parametrize(
+    "take, error",
+    [
+        pytest.param(lambda: _PC.column_support(0), DomainError, id="column_support(0)"),
+        pytest.param(lambda: _PC.column_support(-1), DomainError, id="column_support(-1)"),
+        pytest.param(lambda: _PC.column_support(3), DomainError, id="column_support(3)"),
+        pytest.param(lambda: _PC.column_support("1"), ValueTypeError, id='column_support("1")'),
+        pytest.param(lambda: _PC.entry(3, 1), DomainError, id="entry(3, 1)"),
+        pytest.param(lambda: _PC.entry(1, 0), DomainError, id="entry(1, 0)"),
+        pytest.param(lambda: _PC.entry(1.0, 1), ValueTypeError, id="entry(1.0, 1)"),
+        pytest.param(lambda: _PC.entry(True, 1), ValueTypeError, id="entry(True, 1)"),
+        pytest.param(lambda: _PC.v.row(0), DomainError, id="v.row(0)"),
+        pytest.param(lambda: _PC.v.row(-2), DomainError, id="v.row(-2)"),
+        pytest.param(lambda: _PC.v.col(3), DomainError, id="v.col(3)"),
+        pytest.param(lambda: _PC.v.col(False), ValueTypeError, id="v.col(False)"),
+        pytest.param(lambda: _PC.v.entry(0, 0), DomainError, id="v.entry(0, 0)"),
+        pytest.param(lambda: _PC.v.submatrix([1, 0], [1]), DomainError, id="submatrix row 0"),
+        pytest.param(lambda: _PC.v.submatrix([1], [2.0]), ValueTypeError, id="submatrix 2.0"),
+    ],
+)
+def test_accessors_refuse_indices_outside_one_to_size(take, error):
+    with pytest.raises(error):
+        take()
+    # in range, the 1-based accessors still read the stored rows
+    assert _PC.column_support(2) == {2}
+    assert _PC.v.row(2) == _PC.v.entries[1] and _PC.entry(2, 2) == 5
