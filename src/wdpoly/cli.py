@@ -154,8 +154,6 @@ def _cmd_tangent(args) -> int:
     graph = fmt.parse_support_graph(fmt.load_json(args.cell), args.cell)
     if not env.is_covector_graph(system.config, graph):
         raise EmptyCellError("the given graph is not a cell of the decomposition")
-    if len({j for _, j in graph.arcs}) < graph.n:
-        raise EmptyCellError("the given graph misses a column, so it is no torus cell")
     record = cov.CellRecord(
         graph=graph,
         dimension=graph.weak_component_count() - 1,
@@ -224,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--bound",
                 type=int,
                 default=1_000_000,
-                help="cell enumeration candidate bound",
+                help="cap on the covector graphs one walk holds (per stratum for projective)",
             )
         if name == "faces":
             p.add_argument(

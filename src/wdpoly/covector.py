@@ -22,7 +22,7 @@ from .envelope import (
     _walk,
     interior_point_of_face,
 )
-from .errors import CapabilityError, DomainError, ShapeError, ValueTypeError
+from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError, ValueTypeError
 from .semiring import INF, TVal, _index, _iterable, _position, is_finite, tpoint
 
 
@@ -454,18 +454,21 @@ class TangentDigraph:
 
 
 def tangent_digraph(h: HalfspaceSystem, cell: CellRecord) -> TangentDigraph:
+    """The tangent digraph of h at a torus cell; checks its shape, stratum and columns in O(arcs).
+
+    Whether a graph covering every column has a nonempty face is the caller's to check.
+    """
     g = cell.graph
-    psi = h.psi.arcs
-    kept = tuple(
-        j
-        for j in range(1, g.n + 1)
-        if g.col_neighbors(j)
-        and not all((i, j) in psi for i in g.col_neighbors(j))
-    )
-    kept_set = set(kept)
-    fwd = frozenset(a for a in g.arcs if a[1] in kept_set and a in psi)
-    back = frozenset(a for a in g.arcs if a[1] in kept_set and a not in psi)
-    return TangentDigraph(g.d, g.n, kept, fwd, back)
+    if (g.d, g.n) != (h.psi.d, h.psi.n):
+        raise ShapeError("cell shape does not match the system")
+    if cell.stratum:
+        raise EmptyCellError("the cell lies on a boundary stratum, so it is no torus cell")
+    if len({j for _, j in g.arcs}) < g.n:
+        raise EmptyCellError("the graph misses a column, so it is no torus cell")
+    back = frozenset(a for a in g.arcs if a not in h.psi.arcs)
+    kept = {j for _, j in back}
+    fwd = frozenset(a for a in g.arcs if a[1] in kept and a in h.psi.arcs)
+    return TangentDigraph(g.d, g.n, tuple(sorted(kept)), fwd, back)
 
 
 # ---------------------------------------------------------------------------

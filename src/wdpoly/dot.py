@@ -8,10 +8,8 @@ drawn as boxes above the circled column nodes.
 from __future__ import annotations
 
 from .digraph import WeightedDigraph
-
-
-def _fmt(w) -> str:
-    return str(w)
+from .errors import DomainError
+from .semiring import _index
 
 
 def dot_of_digraph(w: WeightedDigraph, *, bipartite_rows: int | None = None) -> str:
@@ -20,9 +18,9 @@ def dot_of_digraph(w: WeightedDigraph, *, bipartite_rows: int | None = None) -> 
         for v in range(1, w.k + 1):
             lines.append(f'  n{v} [label="{v}"];')
     else:
-        d = bipartite_rows
-        if not (0 < d < w.k):
-            raise ValueError("row count must split the node set")
+        d = _index(bipartite_rows, "a row count")
+        if not 0 < d < w.k:
+            raise DomainError(f"row count {d} does not split the {w.k} nodes")
         lines.append("  { rank=source;")
         for v in range(1, d + 1):
             lines.append(f'    n{v} [label="{v}", shape=box];')
@@ -34,6 +32,6 @@ def dot_of_digraph(w: WeightedDigraph, *, bipartite_rows: int | None = None) -> 
     for (i, j), wt in sorted(w.arcs.items()):
         if i == j and wt == 0:
             continue
-        lines.append(f'  n{i} -> n{j} [label="{_fmt(wt)}"];')
+        lines.append(f'  n{i} -> n{j} [label="{wt}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -302,29 +302,25 @@ def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozen
     each pending graph keeps a component label per node, and a new closure
     merges the labels along the arcs it adds.  The walk runs, in V's own
     labels, over the columns whose support avoids the rows ``stratum``;
-    those rows and the other columns are isolated in every star.
+    those rows and the other columns are isolated in every star.  Rather
+    than hold more than ``candidate_bound`` graphs, found or pending, it raises.
     """
     candidate_bound = _index(candidate_bound, "a candidate bound")
     supports = {j: v.column_support(j) for j in range(1, v.n + 1)}
     cols = [j for j, s in supports.items() if not s & stratum]
-    total = 1
-    for j in cols:
-        total *= len(supports[j])
-        if total > candidate_bound:
-            raise CapabilityError(
-                f"cell enumeration would scan more than {candidate_bound} seeds"
-            )
     arcs = sorted((i, j) for j in cols for i in supports[j])
     entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
     nodes = {(i, j): (i - 1, v.d + j - 1, w) for (i, j), w in entries.items()}
     empty: frozenset[tuple[int, int]] = frozenset()
     seen = {empty}
     stack = [(empty, _face_star(v, entries, empty), list(range(v.d + v.n)), v.d + v.n)]
+    found = 0
     while stack:
         g, star, labels, components = stack.pop()
         covered = {j for _, j in g}
         missing = next((j for j in cols if j not in covered), None)
         if missing is None:
+            found += 1
             yield g, star, components
         rest = [(a, rc) for a, rc in nodes.items() if a not in g]
         for a, (r, c, w) in rest:
@@ -345,6 +341,11 @@ def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozen
             ]
             closed = g.union(added)
             if closed not in seen:
+                if len(seen) >= candidate_bound:
+                    raise CapabilityError(
+                        f"cell enumeration would hold more than {candidate_bound} graphs:"
+                        f" {found} found, {len(stack)} pending"
+                    )
                 seen.add(closed)
                 merged, count = list(labels), components
                 for b in added:

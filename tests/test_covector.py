@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -14,11 +15,13 @@ from wdpoly import (
     BipartiteSupportGraph,
     CapabilityError,
     DomainError,
+    EmptyCellError,
     HalfspaceSystem,
     NodePartition,
     PointConfig,
     ProjectivePoint,
     Sector,
+    ShapeError,
     SignVector,
     TropicalError,
     TropicalMatrix,
@@ -361,6 +364,19 @@ def test_tangent_digraph_golden():
     assert t2.columns == ()  # the fully selected column disappears
 
 
+def test_tangent_digraph_takes_only_torus_cells_of_its_shape():
+    v = PointConfig.make([[0, 1], [2, 0]])
+    h = HalfspaceSystem.make(v, G(2, 2, [(1, 1), (2, 2)]))
+    origin = next(c for c in enumerate_cells(v) if c.graph.arcs == {(1, 1), (2, 2)})
+    stratum = next(c for c in projective_decomposition(v) if c.stratum)
+    with pytest.raises(EmptyCellError, match="misses a column"):
+        tangent_digraph(h, replace(origin, graph=G(2, 2, [])))
+    with pytest.raises(EmptyCellError, match="boundary stratum"):
+        tangent_digraph(h, stratum)
+    with pytest.raises(ShapeError):
+        tangent_digraph(h, replace(origin, graph=G(2, 3, [(1, 1), (2, 2), (1, 3)])))
+
+
 # ---------------------------------------------------------------------------
 # projective strata
 
@@ -406,8 +422,8 @@ def test_cell_boundary_restriction_golden():
     assert restricted.arcs == {(2, 5), (3, 6)}
 
 
-def test_candidate_bound_caps_the_seed_product():
-    v = PointConfig.make([[0, 1], [1, 0]])  # two rows in each column's support: 2 * 2 seeds
+def test_candidate_bound_caps_the_graphs_a_walk_holds():
+    v = PointConfig.make([[0, 1], [1, 0]])  # the torus walk holds 8 graphs, found or pending
     h = HalfspaceSystem.make(v, G(2, 2, [(1, 1), (1, 2)]))
     for enumerate_with in (
         lambda bound: enumerate_cells(v, candidate_bound=bound),
@@ -417,8 +433,20 @@ def test_candidate_bound_caps_the_seed_product():
         lambda bound: is_pure(h, candidate_bound=bound),
     ):
         with pytest.raises(CapabilityError):
-            enumerate_with(3)
-        enumerate_with(4)
+            enumerate_with(7)
+        enumerate_with(8)
+
+
+def test_default_bound_admits_a_line_of_many_points():
+    # 2^20 seeds, but the walk holds a few hundred graphs
+    v = PointConfig.make([[0] * 20, list(range(20))])
+    assert len(enumerate_cells(v)) == 41
+
+
+def test_capability_error_says_how_far_the_walk_got():
+    v = PointConfig.make([[0, 1], [1, 0]])
+    with pytest.raises(CapabilityError, match=r"more than 7 graphs: 3 found, 1 pending"):
+        enumerate_cells(v, candidate_bound=7)
 
 
 def test_projective_decomposition_counts_empty_strata():

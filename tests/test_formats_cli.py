@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wdpoly import INF, FormatError, PointConfig, WeightedDigraph
+from wdpoly import INF, DomainError, FormatError, PointConfig, ValueTypeError, WeightedDigraph
 from wdpoly import formats as fmt
 from wdpoly.cli import run
 from wdpoly.dot import dot_of_digraph
@@ -128,6 +128,17 @@ def test_dot_output_is_deterministic():
     assert 'n1 -> n3 [label="1"];' in a
     # the zero-weight loop at node 2 is suppressed
     assert "n2 -> n2" not in a
+
+
+def test_dot_row_count_meets_the_input_contract():
+    w = fmt.parse_digraph(digraph_obj())
+    for rows in (0, w.k, 5):
+        with pytest.raises(DomainError):
+            dot_of_digraph(w, bipartite_rows=rows)
+    for rows in ("1", 1.0, True):
+        with pytest.raises(ValueTypeError):
+            dot_of_digraph(w, bipartite_rows=rows)
+    assert "shape=box" in dot_of_digraph(w, bipartite_rows=1)
 
 
 def test_svg_output_is_deterministic_and_bounded():
@@ -267,11 +278,11 @@ def test_cli_capability_exit(tmp_path, capsys):
 
 
 def test_cli_candidate_bound_exit(tmp_path, capsys):
-    # two rows in each column's support: 2 * 2 seeds
+    # the torus walk holds 8 graphs, found or pending
     path = write(tmp_path, "v.json", {"rows": 2, "cols": 2, "entries": [["0", "1"], ["1", "0"]]})
     for verb in ("cells", "projective", "subdivision"):
-        assert run([verb, path, "--bound", "3"]) == 3
-        assert run([verb, path, "--bound", "4"]) == 0
+        assert run([verb, path, "--bound", "7"]) == 3
+        assert run([verb, path, "--bound", "8"]) == 0
     capsys.readouterr()
 
 
