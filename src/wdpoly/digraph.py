@@ -227,20 +227,22 @@ def _scaled(weights: Mapping) -> tuple[int, dict]:
     return scale, {a: x.numerator * (scale // x.denominator) for a, x in weights.items()}
 
 
-def _star(w: WeightedDigraph, arcs: Mapping[tuple[int, int], int]) -> list[list[int | None]]:
-    """All-pairs shortest distances over the int weights ``arcs`` on the nodes of W.
+def _star(k: int, arcs: Mapping[tuple[int, int], int]) -> list[list[int | None]]:
+    """All-pairs shortest distances over the int weights ``arcs`` on nodes 1..k.
 
     One Floyd-Warshall pass over rows, with None for an infinite distance.
-    A negative cycle makes its highest-numbered node's diagonal entry
-    negative at that node's pivot; only then does Bellman-Ford find W's witness.
+    Before pivot m, column m holds the least weights of paths to m through
+    the nodes below m, which close no negative cycle.  A negative diagonal
+    entry there raises ``InfeasibleError`` with a simple negative cycle
+    through m, read off the arcs that attain those weights.
     """
-    dist: list[list] = [[None] * w.k for _ in range(w.k)]
-    for a in range(w.k):
-        dist[a][a] = 0
+    dist: list[list] = [[0 if a == b else None for b in range(k)] for a in range(k)]
     for (i, j), wt in arcs.items():
         if i != j or wt < 0:  # a loop matters only below the zero diagonal
             dist[i - 1][j - 1] = wt
-    for m in range(w.k):
+    for m in range(k):
+        if dist[m][m] < 0:
+            raise InfeasibleError(_cycle_through(m, arcs, dist))
         reach = [(b, x) for b, x in enumerate(dist[m]) if x is not None]
         for row in dist:
             to_m = row[m]
@@ -250,49 +252,57 @@ def _star(w: WeightedDigraph, arcs: Mapping[tuple[int, int], int]) -> list[list[
                 cand = to_m + x
                 if row[b] is None or cand < row[b]:
                     row[b] = cand
-        if dist[m][m] < 0:
-            raise InfeasibleError(detect_negative_cycle(w))
     return dist
 
 
-def detect_negative_cycle(w: WeightedDigraph) -> list[int] | None:
-    """A directed cycle of strictly negative weight, or None.
+def _cycle_through(m: int, arcs: Mapping[tuple[int, int], int], dist: list[list]) -> list[int]:
+    """The negative cycle m -> ... -> m that ``_star`` finds before pivot m.
 
-    Bellman-Ford from a virtual source connected to every node; the cycle
-    is returned as a node sequence with the start repeated at the end.
+    ``step`` grows back from m along the arcs that attain those weights,
+    each node pointing to one reached before it, so the path never loops,
+    even where zero-weight cycles among the lower nodes would trap a
+    greedy walk.
     """
-    k = w.k
-    dist = [0] * (k + 1)
-    pred: list[int | None] = [None] * (k + 1)
-    arcs = list(_scaled(w.arcs)[1].items())
-    touched = None
-    for _ in range(k):
-        touched = None
-        for (i, j), wt in arcs:
-            if dist[i] + wt < dist[j]:
-                dist[j] = dist[i] + wt
-                pred[j] = i
-                touched = j
-        if touched is None:
-            return None
-    # A relaxation in round k certifies a negative cycle on the pred chain.
-    x = touched
-    for _ in range(k):
-        x = pred[x]
-    cycle = [x]
-    v = pred[x]
-    while v != x:
-        cycle.append(v)
-        v = pred[v]
-    cycle.append(x)
-    cycle.reverse()
-    return cycle
+    to_m = [row[m] for row in dist]
+    to_m[m] = 0
+    step = {m: m}
+    grown = True
+    while grown:
+        grown = False
+        for (i, j), wt in arcs.items():
+            a, b = i - 1, j - 1
+            if a < m and a not in step and b in step and to_m[a] == wt + to_m[b]:
+                step[a] = b
+                grown = True
+    a = next(j - 1 for (i, j), wt in arcs.items()
+             if i - 1 == m and j - 1 in step and wt + to_m[j - 1] == dist[m][m])
+    cycle = [m + 1]
+    while a != m:
+        cycle.append(a + 1)
+        a = step[a]
+    return cycle + [m + 1]
+
+
+def detect_negative_cycle(w: WeightedDigraph) -> list[int] | None:
+    """A simple directed cycle of strictly negative weight, or None.
+
+    The cycle is the witness of the Floyd-Warshall pass in ``_star``, a
+    node sequence with the start repeated at the end.
+    """
+    try:
+        _star(w.k, _scaled(w.arcs)[1])
+    except InfeasibleError as exc:
+        return exc.cycle
+    return None
 
 
 def cycle_weight(w: WeightedDigraph, cycle: Sequence[int]) -> Fraction:
-    """Total weight of a cycle given as a node sequence with repeated start."""
+    """Total weight of a closed walk given as a node sequence with repeated start."""
+    nodes = [_index(v, "a node") for v in _iterable(cycle, "a cycle")]
+    if len(nodes) < 2 or nodes[0] != nodes[-1]:
+        raise DomainError(f"{nodes} is not a node sequence with repeated start")
     total = Fraction(0)
-    for a, b in zip(cycle, cycle[1:]):
+    for a, b in zip(nodes, nodes[1:]):
         wt = w.weight(a, b)
         if wt is INF:
             raise DomainError(f"({a},{b}) is not an arc")
@@ -306,7 +316,7 @@ def kleene_star(w: WeightedDigraph) -> TropicalMatrix:
     The tropical power formula serves as an independent oracle in the tests.
     """
     scale, arcs = _scaled(w.arcs)
-    rows = (tuple(INF if x is None else Fraction(x, scale) for x in r) for r in _star(w, arcs))
+    rows = (tuple(INF if x is None else Fraction(x, scale) for x in r) for r in _star(w.k, arcs))
     return TropicalMatrix(w.k, w.k, tuple(rows))
 
 
@@ -316,7 +326,7 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
     Two nodes share a block iff they lie on a common zero-weight cycle,
     i.e. w*_ij = -w*_ji < inf.  The block count equals dim Q(W).
     """
-    dist = _star(w, _scaled(w.arcs)[1])
+    dist = _star(w.k, _scaled(w.arcs)[1])
     pairs = [
         (i + 1, j + 1)
         for i in range(w.k)
@@ -404,7 +414,7 @@ def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
     big = (k + 1) * (max(map(abs, arcs.values()), default=0) + scale)
     filled = {(i, j): big for i in range(1, k + 1) for j in range(1, k + 1) if i != j}
     filled.update(arcs)
-    return tuple(Fraction(sum(row), k * scale) for row in _star(w, filled))
+    return tuple(Fraction(sum(row), k * scale) for row in _star(k, filled))
 
 
 # ---------------------------------------------------------------------------

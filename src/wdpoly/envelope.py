@@ -18,12 +18,12 @@ from typing import Iterable
 from .digraph import (
     WeightedDigraph,
     _scaled,
-    detect_negative_cycle,
+    _star,
     face,
     interior_point,
     weak_components,
 )
-from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
+from .errors import CapabilityError, DomainError, EmptyCellError, InfeasibleError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
 from .semiring import INF, _index, _iterable, _position
 
@@ -155,8 +155,7 @@ def envelope_digraph(v: PointConfig) -> WeightedDigraph:
 
 
 def _face_digraph(v: PointConfig, g: BipartiteSupportGraph) -> WeightedDigraph:
-    env = envelope_digraph(v)
-    return face(env, {(i, v.d + j) for (i, j) in g.arcs})
+    return face(envelope_digraph(v), {(i, v.d + j) for (i, j) in g.arcs})
 
 
 def _validate_subgraph(v: PointConfig, g: BipartiteSupportGraph) -> None:
@@ -172,11 +171,6 @@ def _validate_subgraph(v: PointConfig, g: BipartiteSupportGraph) -> None:
 # is row r+1, node d+c is column c+1 and None is an infinite distance.  The
 # weights are the entries of V scaled to ints by ``digraph._scaled``.  Stars
 # share the rows an update leaves alone, so a row is never mutated in place.
-
-
-def _scaled_entries(v: PointConfig) -> dict[tuple[int, int], int]:
-    """The finite entries of V scaled to ints, by support arc in sorted order."""
-    return _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in sorted(v.support().arcs)})[1]
 
 
 def _tighten(star: list[list], r: int, c: int, w: int) -> list[list]:
@@ -201,32 +195,15 @@ def _tighten(star: list[list], r: int, c: int, w: int) -> list[list]:
     return out
 
 
-def _face_star(v: PointConfig, entries: dict, arcs: Iterable[tuple[int, int]]) -> list[list] | None:
-    """Star of the face digraph W#G, or None if the face is empty.
+def _closure(v: PointConfig, arcs: Iterable[tuple[int, int]]) -> frozenset:
+    """Support arcs on a zero-weight cycle of the face digraph W#G.
 
-    The envelope digraph W is acyclic, so its star is its arcs plus a zero
-    diagonal; the arcs of G are then added one at a time.
+    ``_star`` raises ``InfeasibleError`` if the face is empty.
     """
-    k = v.d + v.n
-    star = [[None] * k for _ in range(k)]
-    for a in range(k):
-        star[a][a] = 0
-    for (i, j), w in entries.items():
-        star[i - 1][v.d + j - 1] = w
-    for i, j in arcs:
-        r, c, w = i - 1, v.d + j - 1, entries[(i, j)]
-        if star[r][c] != w:
-            return None
-        star = _tighten(star, r, c, w)
-    return star
-
-
-def _closure(v: PointConfig, arcs: Iterable[tuple[int, int]]) -> frozenset | None:
-    """Support arcs on a zero-weight cycle of the face digraph, or None if the face is empty."""
-    entries = _scaled_entries(v)
-    star = _face_star(v, entries, arcs)
-    if star is None:
-        return None
+    entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in sorted(v.support().arcs)})[1]
+    face_arcs = {(i, v.d + j): w for (i, j), w in entries.items()}
+    face_arcs.update({(v.d + j, i): -entries[(i, j)] for i, j in arcs})
+    star = _star(v.d + v.n, face_arcs)
     return frozenset((i, j) for (i, j), w in entries.items() if star[v.d + j - 1][i - 1] == -w)
 
 
@@ -237,17 +214,20 @@ def covector_closure(v: PointConfig, g: BipartiteSupportGraph) -> CovectorGraph:
     digraph; fails if the face is empty.
     """
     _validate_subgraph(v, g)
-    closed = _closure(v, g.arcs)
-    if closed is None:
-        cyc = detect_negative_cycle(_face_digraph(v, g))
-        raise EmptyCellError(f"face is empty: negative cycle {cyc}")
+    try:
+        closed = _closure(v, g.arcs)
+    except InfeasibleError as exc:
+        raise EmptyCellError(f"face is empty: negative cycle {exc.cycle}") from None
     return BipartiteSupportGraph(v.d, v.n, closed)
 
 
 def is_covector_graph(v: PointConfig, g: BipartiteSupportGraph) -> bool:
     """Whether G labels a nonempty face: feasible and closed under zero cycles."""
     _validate_subgraph(v, g)
-    return _closure(v, g.arcs) == g.arcs
+    try:
+        return _closure(v, g.arcs) == g.arcs
+    except InfeasibleError:
+        return False
 
 
 def cell_dimension(v: PointConfig, g: CovectorGraph) -> int:
@@ -278,9 +258,7 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
     V[G] is the n-by-d matrix with entry (j,i) equal to -v_ij when (i,j)
     is in G and infinite otherwise.
     """
-    _validate_subgraph(v, g)
-    if _closure(v, g.arcs) is None:
-        raise EmptyCellError("face is empty")
+    covector_closure(v, g)  # raises EmptyCellError for an empty face
     vg = TropicalMatrix.make(
         [
             [-row[j - 1] if (i, j) in g.arcs else INF for i, row in enumerate(v.v.entries, start=1)]
@@ -313,7 +291,10 @@ def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozen
     nodes = {(i, j): (i - 1, v.d + j - 1, w) for (i, j), w in entries.items()}
     empty: frozenset[tuple[int, int]] = frozenset()
     seen = {empty}
-    stack = [(empty, _face_star(v, entries, empty), list(range(v.d + v.n)), v.d + v.n)]
+    root = [[0 if a == b else None for b in range(v.d + v.n)] for a in range(v.d + v.n)]
+    for r, c, w in nodes.values():
+        root[r][c] = w
+    stack = [(empty, root, list(range(v.d + v.n)), v.d + v.n)]
     found = 0
     while stack:
         g, star, labels, components = stack.pop()

@@ -7,6 +7,7 @@ fixed key order, fixed sorting of arc lists and cells.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -44,7 +45,11 @@ def load_json(path: str) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Indented JSON and a newline, written chunk by chunk rather than joined in one list."""
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2, ensure_ascii=False)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -40,7 +40,7 @@ class TropicalMatrix:
     def identity(cls, k: int) -> "TropicalMatrix":
         """Min-tropical unit: zero diagonal, infinity elsewhere."""
         return cls.make(
-            [[0 if i == j else INF for j in range(k)] for i in range(k)]
+            [[0 if i == j else INF for j in range(k)] for i in range(_index(k, "a size"))]
         )
 
     def entry(self, i: int, j: int) -> TVal:
@@ -182,7 +182,7 @@ def is_generic(
     """
     d, n = v.rows, v.cols
     total = sum(comb(d, k) * comb(n, k) for k in range(1, min(d, n) + 1))
-    if total > submatrix_bound:
+    if total > _index(submatrix_bound, "a submatrix bound"):
         raise CapabilityError(
             f"genericity test would enumerate {total} submatrices (bound {submatrix_bound})"
         )

@@ -2,9 +2,9 @@
 
 Each oracle computes its answer by a different route than the library:
 shortest paths via the matrix power formula, feasibility via exhaustive
-simple-cycle enumeration, subdivisions via the lifted lower hull and
-their cell dimensions via the nontrivial components, cone membership
-via residuation, halfspace membership by comparing sector maxima, closed
+simple-cycle enumeration and via Bellman-Ford, subdivisions via the
+lifted lower hull and their cell dimensions via the nontrivial
+components, cone membership via residuation, halfspace membership by comparing sector maxima, closed
 sectors by the stratum rule and the sector inequalities, connectivity
 and strong components via networkx, covector closures and enumeration
 by fresh Bellman-Ford rounds and pairwise unions, cell boundedness via
@@ -18,6 +18,7 @@ exports are used, so no oracle shares a private helper with the library.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,7 +40,6 @@ from wdpoly import (
     TVal,
     WeightedDigraph,
     boundary_matrix,
-    detect_negative_cycle,
     enumerate_cells,
     envelope_digraph,
     face,
@@ -76,6 +76,40 @@ def min_cycle_weight(w: WeightedDigraph):
         if best is None or total < best:
             best = total
     return best
+
+
+def bellman_ford_cycle(w: WeightedDigraph) -> list[int] | None:
+    """A negative cycle by Bellman-Ford from a virtual source to every node, or None.
+
+    The weights are scaled to ints by the LCM of their denominators.  A
+    relaxation in round k certifies a negative cycle on the predecessor
+    chain, returned as a node sequence with the start repeated at the end.
+    """
+    k = w.k
+    scale = math.lcm(*(x.denominator for x in w.arcs.values()))
+    arcs = [(i, j, x.numerator * (scale // x.denominator)) for (i, j), x in w.arcs.items()]
+    dist = [0] * (k + 1)
+    pred: list[int | None] = [None] * (k + 1)
+    for _ in range(k):
+        touched = None
+        for i, j, wt in arcs:
+            if dist[i] + wt < dist[j]:
+                dist[j] = dist[i] + wt
+                pred[j] = i
+                touched = j
+        if touched is None:
+            return None
+    x = touched
+    for _ in range(k):
+        x = pred[x]
+    cycle = [x]
+    v = pred[x]
+    while v != x:
+        cycle.append(v)
+        v = pred[v]
+    cycle.append(x)
+    cycle.reverse()
+    return cycle
 
 
 def kleene_by_powers(w: WeightedDigraph) -> TropicalMatrix:
@@ -212,7 +246,7 @@ def covector_closure_by_rounds(v: PointConfig, g: BipartiteSupportGraph):
     current = set(g.arcs)
     while True:
         wg = face_digraph(v, BipartiteSupportGraph(v.d, v.n, frozenset(current)))
-        cyc = detect_negative_cycle(wg)
+        cyc = bellman_ford_cycle(wg)
         if cyc is not None:
             raise EmptyCellError(f"face is empty: negative cycle {cyc}")
         star = kleene_star(wg)
@@ -248,7 +282,7 @@ def enumerate_covector_graphs_by_unions(
         g = BipartiteSupportGraph(
             v.d, v.n, frozenset((i, j) for j, i in enumerate(choice, start=1))
         )
-        if detect_negative_cycle(face_digraph(v, g)) is not None:
+        if bellman_ford_cycle(face_digraph(v, g)) is not None:
             continue
         closed = covector_closure_by_rounds(v, g)
         found.setdefault(closed.arcs, closed)
@@ -262,7 +296,7 @@ def enumerate_covector_graphs_by_unions(
                 if union in found:
                     continue
                 g = BipartiteSupportGraph(v.d, v.n, union)
-                if detect_negative_cycle(face_digraph(v, g)) is not None:
+                if bellman_ford_cycle(face_digraph(v, g)) is not None:
                     continue
                 closed = covector_closure_by_rounds(v, g)
                 if closed.arcs not in found:

@@ -656,6 +656,9 @@ _BAD_BOUNDS_AND_OBJECTS = (
     lambda: cone_face_lattice(_W2, node_bound="3"),
     lambda: cone_face_lattice(_W2, node_bound=True),
     lambda: trop_det(TropicalMatrix.make([[0, 1], [1, 0]]), perm_bound="3"),
+    lambda: is_generic(TropicalMatrix.make([[0, 1], [1, 0]]), submatrix_bound="3"),
+    lambda: is_generic(TropicalMatrix.make([[0, 1], [1, 0]]), submatrix_bound=5.0),
+    lambda: TropicalMatrix.identity("x"),
     lambda: HalfspaceSystem.make(_V2, [(1, 1)]),
     lambda: HalfspaceSystem.make([[0, 1], [1, 0]], G(2, 2, [(1, 1), (1, 2)])),
     lambda: cell_sample_point(_V2, "x"),

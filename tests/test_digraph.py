@@ -15,6 +15,7 @@ from wdpoly import (
     InfeasibleError,
     NodePartition,
     TropicalMatrix,
+    ValueTypeError,
     WeightedDigraph,
     acyclic_reduction,
     cone_face_lattice,
@@ -33,6 +34,7 @@ from wdpoly.digraph import strong_components, weak_components
 
 from oracles import (
     all_partitions,
+    bellman_ford_cycle,
     kleene_by_powers,
     min_cycle_weight,
     nx_digraph,
@@ -71,6 +73,17 @@ def test_negative_cycle_detected_with_witness():
     assert cycle_weight(w, cyc) < 0
     with pytest.raises(InfeasibleError):
         kleene_star(w)
+
+
+def test_cycle_weight_takes_only_closed_node_sequences():
+    w = WeightedDigraph.make(3, {(1, 2): 1, (2, 3): -1, (3, 1): 0})
+    assert cycle_weight(w, [1, 2, 3, 1]) == 0
+    for bad in ([1.0, 2.0], 5, "121", [1, (2,), 1]):
+        with pytest.raises(ValueTypeError):
+            cycle_weight(w, bad)
+    for bad in ([1, 2], [1], []):
+        with pytest.raises(DomainError):
+            cycle_weight(w, bad)
 
 
 def test_feasibility_matches_simple_cycle_oracle():
@@ -348,3 +361,41 @@ def test_strong_components_refuse_arcs_outside_the_nodes():
     for arcs in ([(0, 1)], [(1, 3)], [(1, -1)]):
         with pytest.raises(DomainError):
             strong_components(2, arcs)
+
+
+@st.composite
+def _rational_digraphs(draw):
+    """k <= 7 nodes, loops and antiparallel pairs, weights p/q with q in 1..3."""
+    k = draw(st.integers(1, 7))
+    node = st.integers(1, k)
+    weight = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return WeightedDigraph.make(k, draw(st.dictionaries(st.tuples(node, node), weight, max_size=k * k)))
+
+
+def _assert_simple_negative_cycle_of(w, cycle):
+    assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+    assert all((a, b) in w.arcs for a, b in zip(cycle, cycle[1:]))
+    assert cycle_weight(w, cycle) < 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rational_digraphs(), st.data())
+def test_every_witness_is_a_simple_negative_cycle_against_bellman_ford(w, data):
+    cycle = detect_negative_cycle(w)
+    oracle = bellman_ford_cycle(w)
+    assert (cycle is None) == (oracle is None)
+    if cycle is None:
+        return
+    _assert_simple_negative_cycle_of(w, cycle)
+    deleted = data.draw(st.sets(st.integers(1, w.k), max_size=w.k - 1))
+    # interior_point adds big-M arcs to W, which a witness must never use
+    for call in (kleene_star, equality_partition, interior_point, lambda w: project(w, deleted)):
+        with pytest.raises(InfeasibleError) as exc:
+            call(w)
+        _assert_simple_negative_cycle_of(w, exc.value.cycle)
+
+
+def test_witness_leaves_zero_weight_cycles_below_its_top_node():
+    # from node 2 the arc back to 1 is as tight as the arc on to 3
+    w = WeightedDigraph.make(3, {(3, 1): -1, (1, 2): 0, (2, 1): 0, (2, 3): 0})
+    assert detect_negative_cycle(w) == [3, 1, 2, 3]

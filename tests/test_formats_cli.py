@@ -104,6 +104,11 @@ def test_point_parsing():
         fmt.parse_point("0,abc")
 
 
+def test_dump_json_matches_json_dumps():
+    obj = {"cells": [{"graph": "(1|2,•,-)", "dim": 2, "bounded": True}], "note": "ψ ⊕ ∞", "none": None}
+    assert fmt.dump_json(obj) == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
 def test_write_atomic(tmp_path):
     target = tmp_path / "out.json"
     fmt.write_atomic(str(target), "payload\n")
