@@ -22,8 +22,8 @@ from .envelope import (
     _walk,
     interior_point_of_face,
 )
-from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError, ValueTypeError
-from .semiring import INF, TVal, _index, _iterable, _position, is_finite, tpoint
+from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
+from .semiring import INF, TVal, _index, _instance, _iterable, _position, is_finite, tpoint
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +169,7 @@ def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TV
     returned multipliers reproduce z as a tropical combination exactly
     when the verdict is positive.
     """
-    if not isinstance(z, ProjectivePoint):
-        raise ValueTypeError(f"{z!r} is not a ProjectivePoint")
-    if z.d != v.d:
+    if _instance(z, ProjectivePoint).d != v.d:
         raise ShapeError("point dimension does not match the configuration")
     rows = {i for (i, _) in _covector(v, z.coords).arcs}
     return z.support() <= rows, tcone_witness(v, z)
@@ -208,7 +206,9 @@ class CellRecord:
         )
 
 
-def _cells(v: PointConfig, stratum: frozenset[int], candidate_bound: int) -> list[CellRecord]:
+def _cells(
+    v: PointConfig, stratum: frozenset[int], candidate_bound: int, cover=None
+) -> list[CellRecord]:
     """The cells where the rows ``stratum`` are infinite, unsorted, from ``envelope._walk``.
 
     The stratum's rows and the columns that meet them are isolated nodes,
@@ -218,6 +218,7 @@ def _cells(v: PointConfig, stratum: frozenset[int], candidate_bound: int) -> lis
     Every graph of the walk covers its walked columns, so X_G lies in the
     tropical cone iff G also covers every row.
     """
+    walk = _walk(v, candidate_bound, stratum, cover)
     rows = [i - 1 for i in range(1, v.d + 1) if i not in stratum]
     dropped = sum(any(col[i - 1] is not INF for i in stratum) for col in zip(*v.v.entries))
     return [
@@ -228,7 +229,7 @@ def _cells(v: PointConfig, stratum: frozenset[int], candidate_bound: int) -> lis
             in_tcone=len({i for i, _ in arcs}) == v.d,
             stratum=stratum,
         )
-        for arcs, star, components in _walk(v, candidate_bound, stratum)
+        for arcs, star, components in walk
     ]
 
 
@@ -259,9 +260,7 @@ def cell_sample_point(v: PointConfig, cell: CellRecord) -> tuple[TVal, ...]:
     set to infinity: those rows and the columns that meet them carry no
     arc of G, so they do not constrain the other rows.
     """
-    if not isinstance(cell, CellRecord):
-        raise ValueTypeError(f"{cell!r} is not a CellRecord")
-    y, _ = interior_point_of_face(v, cell.graph)
+    y, _ = interior_point_of_face(v, _instance(cell, CellRecord).graph)
     return tuple(INF if i in cell.stratum else x for i, x in enumerate(y, start=1))
 
 
@@ -305,11 +304,8 @@ class HalfspaceSystem:
     psi: BipartiteSupportGraph
 
     def __post_init__(self):
-        v, psi = self.config, self.psi
-        if not isinstance(v, PointConfig):
-            raise ValueTypeError(f"{v!r} is not a PointConfig")
-        if not isinstance(psi, BipartiteSupportGraph):
-            raise ValueTypeError(f"{psi!r} is not a BipartiteSupportGraph")
+        v = _instance(self.config, PointConfig)
+        psi = _instance(self.psi, BipartiteSupportGraph)
         if (psi.d, psi.n) != (v.d, v.n):
             raise ShapeError("selection shape does not match the configuration")
         support = v.support().arcs
@@ -339,8 +335,10 @@ def signed_graph(
     psi: BipartiteSupportGraph, eps: SignVector, support: BipartiteSupportGraph
 ) -> BipartiteSupportGraph:
     """Flip each minus column of psi to its complement within the support."""
-    if len(eps) != psi.n:
+    if len(_instance(eps, SignVector)) != _instance(psi, BipartiteSupportGraph).n:
         raise ShapeError("sign vector length does not match the column count")
+    if (_instance(support, BipartiteSupportGraph).d, support.n) != (psi.d, psi.n):
+        raise ShapeError("support shape does not match the selection")
     arcs = set()
     for j, s in enumerate(eps.signs, start=1):
         chosen = frozenset(psi.col_neighbors(j))
@@ -348,11 +346,6 @@ def signed_graph(
             chosen = frozenset(support.col_neighbors(j)) - chosen
         arcs.update((i, j) for i in chosen)
     return BipartiteSupportGraph(psi.d, psi.n, frozenset(arcs))
-
-
-def _covers_columns(arcs: frozenset[tuple[int, int]], psi: BipartiteSupportGraph) -> bool:
-    """Whether every column keeps an arc inside psi."""
-    return len({j for (_, j) in arcs & psi.arcs}) == psi.n
 
 
 def halfspace_membership(h: HalfspaceSystem, x: Sequence) -> bool:
@@ -363,9 +356,9 @@ def halfspace_membership(h: HalfspaceSystem, x: Sequence) -> bool:
     point may have infinite coordinates, but not only those.
     """
     z = ProjectivePoint.make(x)
-    if z.d != h.config.d:
+    if z.d != _instance(h, HalfspaceSystem).config.d:
         raise ShapeError("point dimension mismatch")
-    return _covers_columns(_covector(h.config, z.coords).arcs, h.psi)
+    return len({j for _, j in _covector(h.config, z.coords).arcs & h.psi.arcs}) == h.psi.n
 
 
 def cells_of_halfspace(
@@ -373,14 +366,13 @@ def cells_of_halfspace(
 ) -> list[CellRecord]:
     """The torus cells whose union is the halfspace intersection.
 
-    A cell belongs iff no column node becomes isolated after restricting
-    its covector graph to the selected arcs.
+    A cell belongs iff its covector graph keeps an arc of psi in every column,
+    so the walk counts only psi's arcs toward covering one (``envelope._walk``).
     """
-    return [
-        c
-        for c in enumerate_cells(h.config, candidate_bound=candidate_bound)
-        if _covers_columns(c.graph.arcs, h.psi)
-    ]
+    return sorted(
+        _cells(_instance(h, HalfspaceSystem).config, frozenset(), candidate_bound, h.psi.arcs),
+        key=CellRecord.sort_key,
+    )
 
 
 def is_pure(
@@ -416,7 +408,7 @@ def signed_cells(
     Its arc (i, j) admits "+" for column j if it lies in psi and "-" if
     not, so a cell goes under every product of its per-column sign sets.
     """
-    v = h.config
+    v = _instance(h, HalfspaceSystem).config
     if v.n > _index(sign_bound, "a sign bound"):
         raise CapabilityError(
             f"signed cell enumeration is limited to {sign_bound} columns, got {v.n}"
@@ -458,8 +450,8 @@ def tangent_digraph(h: HalfspaceSystem, cell: CellRecord) -> TangentDigraph:
 
     Whether a graph covering every column has a nonempty face is the caller's to check.
     """
-    g = cell.graph
-    if (g.d, g.n) != (h.psi.d, h.psi.n):
+    g = _instance(cell, CellRecord).graph
+    if (g.d, g.n) != (_instance(h, HalfspaceSystem).psi.d, h.psi.n):
         raise ShapeError("cell shape does not match the system")
     if cell.stratum:
         raise EmptyCellError("the cell lies on a boundary stratum, so it is no torus cell")

@@ -25,7 +25,7 @@ from .digraph import (
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, InfeasibleError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
-from .semiring import INF, _index, _iterable, _position
+from .semiring import INF, _index, _instance, _iterable, _position
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def _face_digraph(v: PointConfig, g: BipartiteSupportGraph) -> WeightedDigraph:
 
 
 def _validate_subgraph(v: PointConfig, g: BipartiteSupportGraph) -> None:
-    if (g.d, g.n) != (v.d, v.n):
+    if (_instance(g, BipartiteSupportGraph).d, g.n) != (_instance(v, PointConfig).d, v.n):
         raise ShapeError("graph shape does not match the configuration")
     if not g.arcs <= v.support().arcs:
         extra = sorted(g.arcs - v.support().arcs)
@@ -272,7 +272,7 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 # enumeration of covector graphs
 
 
-def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozenset()):
+def _walk(v: PointConfig, candidate_bound: int, stratum=frozenset(), cover=None):
     """The walk of ``enumerate_covector_graphs``: (arcs, star, components) per graph G.
 
     ``star`` is the scaled Kleene star of W#G and ``components`` the number
@@ -282,13 +282,26 @@ def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozen
     labels, over the columns whose support avoids the rows ``stratum``;
     those rows and the other columns are isolated in every star.  Rather
     than hold more than ``candidate_bound`` graphs, found or pending, it raises.
+
+    It yields the graphs with an arc of ``cover`` (default: every support arc)
+    in each walked column.  A graph missing one grows only by those arcs in its
+    first such column, and otherwise by every support arc.  So each yielded H
+    is reached: a graph G inside H missing column j has H's cover arc a in
+    column j, and closure(G+a) lies in H; from a graph inside H with a cover
+    arc in every column, H is reached one arc at a time.
     """
-    candidate_bound = _index(candidate_bound, "a candidate bound")
+    bound = _index(candidate_bound, "a candidate bound")
+    return _climb(_instance(v, PointConfig), bound, stratum, cover)
+
+
+def _climb(v: PointConfig, candidate_bound: int, stratum: frozenset[int], cover):
     supports = {j: v.column_support(j) for j in range(1, v.n + 1)}
     cols = [j for j, s in supports.items() if not s & stratum]
     arcs = sorted((i, j) for j in cols for i in supports[j])
     entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
     nodes = {(i, j): (i - 1, v.d + j - 1, w) for (i, j), w in entries.items()}
+    keep = nodes if cover is None else cover  # the arcs that may grow a graph missing a column
+    grow = {j: [(a, rc) for a, rc in nodes.items() if a[1] == j and a in keep] for j in cols}
     empty: frozenset[tuple[int, int]] = frozenset()
     seen = {empty}
     root = [[0 if a == b else None for b in range(v.d + v.n)] for a in range(v.d + v.n)]
@@ -298,15 +311,13 @@ def _walk(v: PointConfig, candidate_bound: int, stratum: frozenset[int] = frozen
     found = 0
     while stack:
         g, star, labels, components = stack.pop()
-        covered = {j for _, j in g}
+        covered = {j for _, j in (g if cover is None else g & cover)}
         missing = next((j for j in cols if j not in covered), None)
         if missing is None:
             found += 1
             yield g, star, components
         rest = [(a, rc) for a, rc in nodes.items() if a not in g]
-        for a, (r, c, w) in rest:
-            if missing is not None and a[1] != missing:
-                continue
+        for a, (r, c, w) in rest if missing is None else grow[missing]:
             if star[r][c] != w:
                 continue  # the face G+a is empty
             # closure(G+a) read off S: for b outside G, S'[cb][rb] is
@@ -345,11 +356,8 @@ def enumerate_covector_graphs(
     These label the cells of the projective torus.  The enumeration walks
     up the face lattice from the empty graph, keeping the Kleene star S of
     the face digraph W#G of each graph G until G is expanded.  G+(i,j) is
-    a nonempty face iff S[i][d+j] == v_ij.  A graph that misses a column
-    grows only in the first such column, which reaches every
-    inclusion-minimal graph covering all columns; other graphs grow by
-    every support arc.  If H contains G and a is in H but not in G, then
-    closure(G+a) lies in H, so every graph above those is reached.
+    a nonempty face iff S[i][d+j] == v_ij; ``_walk`` says why every graph
+    covering all columns is reached.
     """
     graphs = [BipartiteSupportGraph(v.d, v.n, g) for g, _, _ in _walk(v, candidate_bound)]
     return sorted(graphs, key=lambda g: (len(g.arcs), g.sorted_arcs()))
@@ -378,10 +386,11 @@ def regular_subdivision(
     as many weak components as the support.  The cell conv{e_i (+) e_j :
     (i,j) in G} then has dimension d + n - (weak components of G) - 1.
     """
+    walk = _walk(v, candidate_bound)
     minimal = v.support().weak_component_count()
     cells = [
         SubdivisionCell(arcs, v.d + v.n - components - 1)
-        for arcs, _, components in _walk(v, candidate_bound)
+        for arcs, _, components in walk
         if components == minimal
     ]
     return sorted(cells, key=lambda c: tuple(sorted(c.vertices)))

@@ -94,6 +94,13 @@ def _iterable(xs, what: str) -> Iterable:
     return xs
 
 
+def _instance(x, cls):
+    """``x`` itself if it is a ``cls``; else ``ValueTypeError``."""
+    if not isinstance(x, cls):
+        raise ValueTypeError(f"{x!r} is not a {cls.__name__}")
+    return x
+
+
 def _index(x, what: str, pair: bool = False):
     """A plain int (not a bool), or with ``pair`` a 2-tuple of them; else ``ValueTypeError``."""
     if pair:

@@ -10,8 +10,9 @@ and strong components via networkx, covector closures and enumeration
 by fresh Bellman-Ford rounds and pairwise unions, cell boundedness via
 the projection matrix of the face, tropical determinants and genericity
 via all permutations of every square submatrix, the cells of the
-boundary strata via relabelled sub-configurations, and signed cells by
-one flipped selection per sign vector.  Only names that ``wdpoly``
+boundary strata via relabelled sub-configurations, signed cells by one
+flipped selection per sign vector, and the cells of a halfspace system by
+filtering every torus cell.  Only names that ``wdpoly``
 exports are used, so no oracle shares a private helper with the library.
 """
 
@@ -347,6 +348,22 @@ def signed_cells_by_signs(h: HalfspaceSystem) -> dict[str, list[CellRecord]]:
         flipped = signed_graph(h.psi, eps, support).arcs
         out[str(eps)] = [c for c, arcs in closed if len({j for _, j in arcs & flipped}) == v.n]
     return out
+
+
+# ---------------------------------------------------------------------------
+# halfspace cells by filtering every torus cell
+
+
+def cells_of_halfspace_by_filter(h: HalfspaceSystem) -> list[CellRecord]:
+    """``cells_of_halfspace`` by filtering every torus cell of ``enumerate_cells``.
+
+    A cell stays when its covector graph keeps an arc of psi in every column.
+    """
+    return [
+        c
+        for c in enumerate_cells(h.config)
+        if len({j for _, j in c.graph.arcs & h.psi.arcs}) == h.config.n
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wdpoly import (
@@ -29,14 +29,18 @@ from wdpoly import (
     WeightedDigraph,
     boundary_matrix,
     cell_boundary_restriction,
+    cell_dimension,
     cell_sample_point,
     cells_of_halfspace,
     closed_sector_membership,
     cone_face_lattice,
+    covector_closure,
     covector_of_point,
     enumerate_cells,
+    enumerate_covector_graphs,
     face,
     halfspace_membership,
+    is_covector_graph,
     is_generic,
     is_pure,
     maximal_cells,
@@ -52,6 +56,7 @@ from wdpoly import (
 )
 
 from oracles import (
+    cells_of_halfspace_by_filter,
     closed_sector_by_inequalities,
     lower_hull_cells,
     membership_against,
@@ -423,18 +428,20 @@ def test_cell_boundary_restriction_golden():
 
 
 def test_candidate_bound_caps_the_graphs_a_walk_holds():
-    v = PointConfig.make([[0, 1], [1, 0]])  # the torus walk holds 8 graphs, found or pending
+    v = PointConfig.make([[0, 1], [1, 0]])
     h = HalfspaceSystem.make(v, G(2, 2, [(1, 1), (1, 2)]))
-    for enumerate_with in (
-        lambda bound: enumerate_cells(v, candidate_bound=bound),
-        lambda bound: regular_subdivision(v, candidate_bound=bound),
-        lambda bound: projective_decomposition(v, candidate_bound=bound),
-        lambda bound: signed_cells(h, candidate_bound=bound),
-        lambda bound: is_pure(h, candidate_bound=bound),
+    # graphs held, found or pending: 8 by the torus walk, 4 by the walk inside psi
+    for enumerate_with, holds in (
+        (lambda bound: enumerate_cells(v, candidate_bound=bound), 8),
+        (lambda bound: regular_subdivision(v, candidate_bound=bound), 8),
+        (lambda bound: projective_decomposition(v, candidate_bound=bound), 8),
+        (lambda bound: signed_cells(h, candidate_bound=bound), 8),
+        (lambda bound: is_pure(h, candidate_bound=bound), 4),
+        (lambda bound: cells_of_halfspace(h, candidate_bound=bound), 4),
     ):
         with pytest.raises(CapabilityError):
-            enumerate_with(7)
-        enumerate_with(8)
+            enumerate_with(holds - 1)
+        enumerate_with(holds)
 
 
 def test_default_bound_admits_a_line_of_many_points():
@@ -671,6 +678,35 @@ def test_keyword_bounds_and_object_arguments_give_a_tropical_error():
             take()
 
 
+_PSI2 = G(2, 2, [(1, 1), (2, 2)])
+_NOT_A_SYSTEM_OR_CONFIG = (
+    lambda: cells_of_halfspace("x"),
+    lambda: halfspace_membership(_V2, [0, 0]),
+    lambda: is_pure(_V2),
+    lambda: signed_cells(_V2),
+    lambda: tangent_digraph(_V2, enumerate_cells(_V2)[0]),
+    lambda: tangent_digraph(_H2, "x"),
+    lambda: enumerate_cells("x"),
+    lambda: projective_decomposition([[0, 1], [1, 0]]),
+    lambda: regular_subdivision(None),
+    lambda: enumerate_covector_graphs([[0]]),
+    lambda: signed_graph(_PSI2, "+-", _V2.support()),
+    lambda: signed_graph(_PSI2, SignVector.make("+-"), _V2),
+    lambda: signed_graph(_PSI2.arcs, SignVector.make("+-"), _V2.support()),
+    lambda: covector_closure(_V2, "x"),
+    lambda: is_covector_graph("x", _PSI2),
+    lambda: cell_dimension(_V2, [(1, 1)]),
+)
+
+
+def test_halfspace_and_walk_entry_points_check_their_arguments():
+    for take in _NOT_A_SYSTEM_OR_CONFIG:
+        with pytest.raises(ValueTypeError):
+            take()
+    with pytest.raises(ShapeError):
+        signed_graph(_PSI2, SignVector.make("+-"), G(3, 2, [(1, 1), (3, 2)]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.integers(), st.none(), st.floats(), st.just(INF), st.text(max_size=3)))
 def test_non_iterables_and_bare_strings_give_a_tropical_error(x):
@@ -711,3 +747,55 @@ def test_signed_cells_match_the_per_sign_oracle(h):
     assert list(table) == list(expect)
     assert table == expect
 
+
+# ---------------------------------------------------------------------------
+# halfspace cells by the walk inside psi, against filtering every torus cell
+
+
+@st.composite
+def _random_systems(draw):
+    """A ``random_config`` draw, d <= 4 and n <= 5, INF entries in half the draws.
+
+    Each column selects a random nonempty set of its support rows, at times
+    all of them, so some selections are not proper and some intersections
+    are empty.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    inf_chance, den = draw(st.sampled_from([0, 0.25])), draw(st.sampled_from([1, 3]))
+    v = random_config(rng, d, n, inf_chance=inf_chance, lo=-2, hi=2, den=den)
+    psi = set()
+    for j in range(1, n + 1):
+        rows = sorted(v.column_support(j))
+        psi.update((i, j) for i in rng.sample(rows, rng.randint(1, len(rows))))
+    return HalfspaceSystem.make(v, G(d, n, psi))
+
+
+# an empty intersection, a selection of every sector of column 1, and a
+# system whose maximal cells have dimensions 2 and 1
+_EMPTY = HalfspaceSystem.make(PointConfig.make([[0, 0], [0, 1]]), G(2, 2, [(1, 1), (2, 2)]))
+_NOT_PROPER = HalfspaceSystem.make(
+    PointConfig.make([[0, 0], [1, 0]]), G(2, 2, [(1, 1), (2, 1), (2, 2)])
+)
+_IMPURE = HalfspaceSystem.make(
+    PointConfig.make([[-2, 0], [0, 2], [-1, 2]]), G(3, 2, [(1, 1), (2, 2), (3, 1)])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_systems())
+@example(_EMPTY)
+@example(_NOT_PROPER)
+@example(_IMPURE)
+def test_cells_of_halfspace_match_the_filter_oracle(h):
+    cells = cells_of_halfspace(h)
+    expect = cells_of_halfspace_by_filter(h)
+    assert cells == expect
+    tops = maximal_cells(expect)
+    ok, witness = is_pure(h)
+    assert ok == (len({c.dimension for c in tops}) <= 1)
+    if ok:
+        assert witness is None
+    else:
+        a, b = witness
+        assert a in tops and b in tops and a.dimension != b.dimension
