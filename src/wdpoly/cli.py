@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from . import covector as cov
 from . import digraph as dg
-from . import envelope as env
 from . import formats as fmt
-from .dot import dot_of_digraph
 from .errors import (
     CapabilityError,
     EmptyCellError,
@@ -23,7 +21,10 @@ from .errors import (
     InfeasibleError,
     TropicalError,
 )
-from .svg import render_svg
+
+if TYPE_CHECKING:  # the verbs that use these layers import them when they run
+    from . import covector as cov
+    from . import envelope as env
 
 
 def _emit(args, text: str) -> None:
@@ -95,23 +96,27 @@ def _cmd_rays(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
+    from . import envelope as env
     _emit_json(args, fmt.digraph_to_obj(env.envelope_digraph(_load_config(args.input))))
     return 0
 
 
 def _cmd_cells(args) -> int:
+    from . import covector as cov
     cells = cov.enumerate_cells(_load_config(args.input), candidate_bound=args.bound)
     _emit_json(args, [fmt.cell_to_obj(c) for c in cells])
     return 0
 
 
 def _cmd_subdivision(args) -> int:
+    from . import envelope as env
     cells = env.regular_subdivision(_load_config(args.input), candidate_bound=args.bound)
     _emit_json(args, [fmt.subdivision_cell_to_obj(c) for c in cells])
     return 0
 
 
 def _cmd_member(args) -> int:
+    from . import covector as cov
     point = fmt.parse_point(args.point)
     if args.system:
         system = _load_system(args.input)
@@ -126,6 +131,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_pure(args) -> int:
+    from . import covector as cov
     ok, pair = cov.is_pure(_load_system(args.input), candidate_bound=args.bound)
     obj = {"pure": ok}
     if pair is not None:
@@ -135,6 +141,7 @@ def _cmd_pure(args) -> int:
 
 
 def _cmd_signed(args) -> int:
+    from . import covector as cov
     table = cov.signed_cells(_load_system(args.input), candidate_bound=args.bound)
     _emit_json(
         args,
@@ -144,12 +151,14 @@ def _cmd_signed(args) -> int:
 
 
 def _cmd_projective(args) -> int:
+    from . import covector as cov
     cells = cov.projective_decomposition(_load_config(args.input), candidate_bound=args.bound)
     _emit_json(args, [fmt.cell_to_obj(c) for c in cells])
     return 0
 
 
 def _cmd_tangent(args) -> int:
+    from . import covector as cov, envelope as env
     system = _load_system(args.input)
     graph = fmt.parse_support_graph(fmt.load_json(args.cell), args.cell)
     if not env.is_covector_graph(system.config, graph):
@@ -174,17 +183,20 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    from .dot import dot_of_digraph
     obj = fmt.load_json(args.input)
     if isinstance(obj, dict) and "nodes" in obj:
         text = dot_of_digraph(fmt.parse_digraph(obj, args.input))
     else:
+        from .envelope import envelope_digraph
         v = fmt.parse_point_config(obj, args.input)
-        text = dot_of_digraph(env.envelope_digraph(v), bipartite_rows=v.d)
+        text = dot_of_digraph(envelope_digraph(v), bipartite_rows=v.d)
     _emit(args, text)
     return 0
 
 
 def _cmd_plot_svg(args) -> int:
+    from .svg import render_svg
     _emit(args, render_svg(_load_config(args.input)))
     return 0
 
@@ -193,19 +205,37 @@ def _cmd_plot_svg(args) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_VERBS = (
+    ("kleene", _cmd_kleene, "all-pairs shortest path matrix of a digraph"),
+    ("feasible", _cmd_feasible, "negative cycle detection"),
+    ("faces", _cmd_faces, "face lattice of the digraph cone (weights ignored)"),
+    ("rays", _cmd_rays, "lineality and ray generators of the recession cone"),
+    ("envelope", _cmd_envelope, "envelope digraph of a point configuration"),
+    ("cells", _cmd_cells, "covector decomposition of the torus"),
+    ("subdivision", _cmd_subdivision, "maximal cells of the regular subdivision"),
+    ("member", _cmd_member, "tropical cone or halfspace membership"),
+    ("pure", _cmd_pure, "pureness of a halfspace system"),
+    ("signed", _cmd_signed, "signed cells of a halfspace system"),
+    ("projective", _cmd_projective, "decomposition of tropical projective space"),
+    ("tangent", _cmd_tangent, "tangent digraph at a cell"),
+    ("export-dot", _cmd_export_dot, "DOT rendering of a digraph or envelope"),
+    ("plot-svg", _cmd_plot_svg, "SVG of the covector decomposition (d = 3)"),
+)
+
+
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``verb`` alone, or of every verb if it names none."""
     parser = argparse.ArgumentParser(
         prog="wdpoly",
         description="Exact combinatorics of weighted digraph polyhedra and tropical cones",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, *, cell_arg=False, point_arg=False):
+    for name, handler, help_text in [v for v in _VERBS if v[0] == verb] or _VERBS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="input JSON file")
-        if cell_arg:
+        if name == "tangent":
             p.add_argument("cell", help="covector graph JSON file")
-        if point_arg:
+        if name == "member":
             p.add_argument(
                 "point",
                 help="comma-separated coordinates, e.g. 0,1/2,inf; "
@@ -232,27 +262,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="node bound for face lattice enumeration",
             )
         p.set_defaults(handler=handler)
-        return p
-
-    add("kleene", _cmd_kleene, "all-pairs shortest path matrix of a digraph")
-    add("feasible", _cmd_feasible, "negative cycle detection")
-    add("faces", _cmd_faces, "face lattice of the digraph cone (weights ignored)")
-    add("rays", _cmd_rays, "lineality and ray generators of the recession cone")
-    add("envelope", _cmd_envelope, "envelope digraph of a point configuration")
-    add("cells", _cmd_cells, "covector decomposition of the torus")
-    add("subdivision", _cmd_subdivision, "maximal cells of the regular subdivision")
-    add("member", _cmd_member, "tropical cone or halfspace membership", point_arg=True)
-    add("pure", _cmd_pure, "pureness of a halfspace system")
-    add("signed", _cmd_signed, "signed cells of a halfspace system")
-    add("projective", _cmd_projective, "decomposition of tropical projective space")
-    add("tangent", _cmd_tangent, "tangent digraph at a cell", cell_arg=True)
-    add("export-dot", _cmd_export_dot, "DOT rendering of a digraph or envelope")
-    add("plot-svg", _cmd_plot_svg, "SVG of the covector decomposition (d = 3)")
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

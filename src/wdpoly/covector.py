@@ -135,7 +135,7 @@ def _covector(v: PointConfig, pt: Sequence[TVal]) -> CovectorGraph:
 def covector_of_point(v: PointConfig, x: Sequence) -> CovectorGraph:
     """The covector graph of a finite point: per column, the argmin rows."""
     pt = tpoint(x)
-    if len(pt) != v.d:
+    if len(pt) != _instance(v, PointConfig).d:
         raise ShapeError(f"point has length {len(pt)}, configuration has d={v.d}")
     if any(c is INF for c in pt):
         raise DomainError("covector_of_point needs a finite point")
@@ -169,7 +169,7 @@ def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TV
     returned multipliers reproduce z as a tropical combination exactly
     when the verdict is positive.
     """
-    if _instance(z, ProjectivePoint).d != v.d:
+    if _instance(z, ProjectivePoint).d != _instance(v, PointConfig).d:
         raise ShapeError("point dimension does not match the configuration")
     rows = {i for (i, _) in _covector(v, z.coords).arcs}
     return z.support() <= rows, tcone_witness(v, z)
@@ -242,6 +242,7 @@ def enumerate_cells(
 
 def maximal_cells(cells: Sequence[CellRecord]) -> list[CellRecord]:
     """Inclusion-maximal cells: those with inclusion-minimal covector graphs."""
+    cells = [_instance(c, CellRecord) for c in _iterable(cells, "a cell list")]
     out = [
         c
         for c in cells
@@ -270,6 +271,8 @@ def cell_sample_point(v: PointConfig, cell: CellRecord) -> tuple[TVal, ...]:
 
 @dataclass(frozen=True)
 class SignVector:
+    """One sign, '+' or '-', per column of a halfspace system."""
+
     signs: tuple[str, ...]
 
     @classmethod
@@ -324,7 +327,7 @@ class HalfspaceSystem:
         require_proper: bool = False,
     ) -> "HalfspaceSystem":
         sys = cls(v, psi)
-        if require_proper:
+        if _instance(require_proper, bool):
             for j in range(1, v.n + 1):
                 if frozenset(psi.col_neighbors(j)) == v.column_support(j):
                     raise DomainError(f"column {j} selects every sector")
@@ -486,7 +489,7 @@ def boundary_matrix(v: PointConfig, z: Iterable[int]) -> LabeledConfig:
     remaining columns keep their labels.
     """
     zset = frozenset(_index(i, "a row") for i in _iterable(z, "a row set"))
-    if not zset <= set(range(1, v.d + 1)):
+    if not zset <= set(range(1, _instance(v, PointConfig).d + 1)):
         raise DomainError("stratum rows out of range")
     if zset == set(range(1, v.d + 1)):
         raise DomainError("the stratum must keep at least one row")
@@ -528,5 +531,6 @@ def cell_boundary_restriction(
     survive on the stratum; labels stay original.
     """
     lab = boundary_matrix(v, z)
-    kept = frozenset((i, j) for (i, j) in g.arcs if i in lab.row_labels and j in lab.col_labels)
+    arcs = _instance(g, BipartiteSupportGraph).arcs
+    kept = frozenset((i, j) for (i, j) in arcs if i in lab.row_labels and j in lab.col_labels)
     return BipartiteSupportGraph(v.d, v.n, kept)

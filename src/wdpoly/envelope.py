@@ -149,7 +149,7 @@ def envelope_digraph(v: PointConfig) -> WeightedDigraph:
     """
     arcs = {
         (i, v.d + j): v.v.entries[i - 1][j - 1]
-        for (i, j) in v.support().arcs
+        for (i, j) in _instance(v, PointConfig).support().arcs
     }
     return WeightedDigraph(v.d + v.n, arcs)
 

@@ -11,14 +11,16 @@ import io
 import json
 import os
 import tempfile
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .covector import CellRecord, HalfspaceSystem
 from .digraph import NodePartition, WeightedDigraph
-from .envelope import BipartiteSupportGraph, PointConfig, SubdivisionCell
 from .errors import FormatError
 from .matrix import TropicalMatrix
 from .semiring import INF, TVal, is_finite, tval
+
+if TYPE_CHECKING:  # the parsers that build these import their modules when called
+    from .covector import CellRecord, HalfspaceSystem
+    from .envelope import BipartiteSupportGraph, PointConfig, SubdivisionCell
 
 
 def render_value(v: TVal) -> str:
@@ -110,6 +112,7 @@ def matrix_to_obj(m: TropicalMatrix) -> dict:
 
 
 def parse_point_config(obj: Any, path=None) -> PointConfig:
+    from .envelope import PointConfig
     m = parse_matrix(obj, path)
     try:
         return PointConfig(m)
@@ -167,6 +170,7 @@ def partition_to_obj(p: NodePartition) -> list[list[int]]:
 
 
 def parse_support_graph(obj: Any, path=None) -> BipartiteSupportGraph:
+    from .envelope import BipartiteSupportGraph
     d = _require(obj, "d", path)
     n = _require(obj, "n", path)
     arcs = _require(obj, "arcs", path)
@@ -190,6 +194,8 @@ def graph_to_obj(g: BipartiteSupportGraph) -> dict:
 
 
 def parse_system(obj: Any, path=None) -> HalfspaceSystem:
+    from .covector import HalfspaceSystem
+    from .envelope import BipartiteSupportGraph
     v = parse_point_config(_require(obj, "matrix", path), path)
     sel = _require(obj, "selection", path)
     if not isinstance(sel, list):

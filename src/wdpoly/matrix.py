@@ -19,6 +19,8 @@ from .semiring import INF, TVal, _index, _iterable, _position, tadd, tmul, tsum,
 
 @dataclass(frozen=True)
 class TropicalMatrix:
+    """A rows-by-cols matrix over the min-plus semiring, stored as a tuple of rows."""
+
     rows: int
     cols: int
     entries: tuple[tuple[TVal, ...], ...]

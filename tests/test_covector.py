@@ -38,6 +38,7 @@ from wdpoly import (
     covector_of_point,
     enumerate_cells,
     enumerate_covector_graphs,
+    envelope_digraph,
     face,
     halfspace_membership,
     is_covector_graph,
@@ -705,6 +706,27 @@ def test_halfspace_and_walk_entry_points_check_their_arguments():
             take()
     with pytest.raises(ShapeError):
         signed_graph(_PSI2, SignVector.make("+-"), G(3, 2, [(1, 1), (3, 2)]))
+
+
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda: maximal_cells([1]),
+        lambda: cell_boundary_restriction(_V2, "x", [1]),
+        lambda: boundary_matrix("x", [1]),
+        lambda: covector_of_point("x", [0, 0]),
+        lambda: tcone_membership("x", _Z2),
+        lambda: envelope_digraph("x"),
+        lambda: HalfspaceSystem.make(_V2, _PSI2, require_proper="yes"),
+    ],
+    ids=[
+        "maximal_cells", "cell_boundary_restriction", "boundary_matrix", "covector_of_point",
+        "tcone_membership", "envelope_digraph", "require_proper",
+    ],
+)
+def test_cell_and_point_entry_points_check_their_objects(take):
+    with pytest.raises(ValueTypeError):
+        take()
 
 
 @settings(max_examples=200, deadline=None)

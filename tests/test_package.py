@@ -1,0 +1,92 @@
+"""The lazily loading package: public names, submodules and what a CLI start imports."""
+
+import dataclasses
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import wdpoly
+from wdpoly.cli import run
+
+
+def test_every_exported_name_is_the_object_its_module_defines():
+    for name in wdpoly.__all__:
+        module = importlib.import_module(f"wdpoly.{wdpoly._MODULE_OF[name]}")
+        assert getattr(wdpoly, name) is getattr(module, name)
+    assert set(wdpoly.__all__) <= set(dir(wdpoly))
+
+
+def test_star_import_binds_every_name_and_an_unknown_name_fails():
+    namespace = {}
+    exec("from wdpoly import *", namespace)
+    assert set(wdpoly.__all__) <= set(namespace)
+    assert namespace["PointConfig"] is wdpoly.envelope.PointConfig
+    with pytest.raises(AttributeError):
+        getattr(wdpoly, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from wdpoly import no_such_name", {})
+
+
+def test_public_dataclasses_have_their_own_docstrings():
+    for name in wdpoly.__all__:
+        obj = getattr(wdpoly, name)
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+            assert obj.__doc__ and not obj.__doc__.startswith(f"{obj.__name__}("), name
+
+
+def _fresh_python(code, *args):
+    src = os.path.dirname(os.path.dirname(wdpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def test_a_bare_import_loads_a_submodule_on_first_use():
+    code = (
+        "import sys, wdpoly\n"
+        "assert sorted(m for m in sys.modules if m.startswith('wdpoly')) == ['wdpoly']\n"
+        "assert wdpoly.semiring.INF is wdpoly.INF\n"
+        "print(wdpoly.envelope.PointConfig.make([[0]]).d)\n"
+    )
+    assert _fresh_python(code).stdout == "1\n"
+
+
+def test_a_digraph_verb_loads_no_cell_layer(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"nodes": 2, "arcs": [{"from": 1, "to": 2, "w": "1"}]}))
+    code = (
+        "import sys\n"
+        "from wdpoly.cli import run\n"
+        "assert run(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wdpoly')), file=sys.stderr)\n"
+    )
+    proc = _fresh_python(code, "kleene", str(path))
+    assert json.loads(proc.stdout)["entries"] == [["0", "1"], ["inf", "0"]]
+    for name in ("covector", "envelope", "svg", "dot"):
+        assert f"'wdpoly.{name}'" not in proc.stderr
+
+
+def test_importing_the_cli_loads_only_its_layers():
+    code = "import sys, wdpoly.cli; print(sorted(m for m in sys.modules if m.startswith('wdpoly')))"
+    loaded = _fresh_python(code).stdout.strip()
+    layers = ("cli", "digraph", "errors", "formats", "matrix", "semiring")
+    want = ["wdpoly"] + [f"wdpoly.{m}" for m in layers]
+    assert loaded == repr(want)
+
+
+def test_help_names_every_verb_and_a_typo_is_a_usage_error(capsys):
+    assert run(["--help"]) == 0
+    verbs = ("kleene", "feasible", "faces", "rays", "envelope", "cells", "subdivision",
+             "member", "pure", "signed", "projective", "tangent", "export-dot", "plot-svg")
+    assert "{" + ",".join(verbs) + "}" in capsys.readouterr().out
+    assert run(["bogus"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run([]) == 2
+    capsys.readouterr()
+    assert run(["cells", "--help"]) == 0
+    assert "--bound" in capsys.readouterr().out
