@@ -11,7 +11,6 @@ signed cells and tangent digraphs, and decomposes the boundary strata.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .digraph import WeightedDigraph
@@ -24,14 +23,14 @@ from .envelope import (
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
 from .semiring import INF, TVal, _index, _instance, _iterable, _position, is_finite, tpoint
+from .semiring import _Record
 
 
 # ---------------------------------------------------------------------------
 # sectors and projective points
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(_Record):
     """The i-th sector of the apex u: where coordinate i attains the minimum.
 
     A point z lies in the sector iff z_l - z_i <= u_l - u_i for every l
@@ -64,8 +63,7 @@ class Sector:
         return closed_sector_membership(ProjectivePoint.make(x), self.apex, self.index)
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(_Record):
     """A point of tropical projective space: coordinates with a finite entry.
 
     The canonical representative shifts the first finite coordinate to 0.
@@ -101,7 +99,7 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
     (i, 1) is in the covector graph of z.
     """
     u = tpoint(u)
-    if len(u) != z.d:
+    if len(u) != _instance(z, ProjectivePoint).d:
         raise ShapeError("apex dimension does not match the point")
     _position(i, z.d, "sector")
     if u[i - 1] is INF:
@@ -179,8 +177,7 @@ def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TV
 # cell records and enumeration
 
 
-@dataclass(frozen=True, slots=True)
-class CellRecord:
+class CellRecord(_Record):
     """One cell of a covector decomposition, possibly on a boundary stratum.
 
     The graph keeps the original row and column labels even for boundary
@@ -188,6 +185,7 @@ class CellRecord:
     cells).  ``dimension`` is taken inside the cell's own stratum.
     """
 
+    __slots__ = ("graph", "dimension", "bounded", "in_tcone", "stratum")
     graph: BipartiteSupportGraph
     dimension: int
     bounded: bool
@@ -223,11 +221,11 @@ def _cells(
     dropped = sum(any(col[i - 1] is not INF for i in stratum) for col in zip(*v.v.entries))
     return [
         CellRecord(
-            graph=BipartiteSupportGraph(v.d, v.n, arcs),
-            dimension=components - len(stratum) - dropped - 1,
-            bounded=all(star[r][c] is not None for r in rows for c in rows),
-            in_tcone=len({i for i, _ in arcs}) == v.d,
-            stratum=stratum,
+            BipartiteSupportGraph(v.d, v.n, arcs),
+            components - len(stratum) - dropped - 1,  # dimension
+            all(star[r][c] is not None for r in rows for c in rows),  # bounded
+            len({i for i, _ in arcs}) == v.d,  # in_tcone
+            stratum,
         )
         for arcs, star, components in walk
     ]
@@ -269,8 +267,7 @@ def cell_sample_point(v: PointConfig, cell: CellRecord) -> tuple[TVal, ...]:
 # halfspace systems
 
 
-@dataclass(frozen=True)
-class SignVector:
+class SignVector(_Record):
     """One sign, '+' or '-', per column of a halfspace system."""
 
     signs: tuple[str, ...]
@@ -293,8 +290,7 @@ class SignVector:
         return len(self.signs)
 
 
-@dataclass(frozen=True)
-class HalfspaceSystem:
+class HalfspaceSystem(_Record):
     """A point configuration with a selected sector set per column.
 
     The arcs of psi in column j name the sectors of apex v^(j) whose
@@ -432,8 +428,7 @@ def signed_cells(
 # tangent digraphs
 
 
-@dataclass(frozen=True, slots=True)
-class TangentDigraph:
+class TangentDigraph(_Record):
     """Local orientation data at a cell of a halfspace system.
 
     Column nodes all of whose covector arcs are selected disappear; the
@@ -441,6 +436,7 @@ class TangentDigraph:
     ones from columns to rows.  Arcs are stored as (row, column) pairs.
     """
 
+    __slots__ = ("d", "n", "columns", "row_to_col", "col_to_row")
     d: int
     n: int
     columns: tuple[int, ...]
@@ -470,8 +466,7 @@ def tangent_digraph(h: HalfspaceSystem, cell: CellRecord) -> TangentDigraph:
 # projective strata
 
 
-@dataclass(frozen=True)
-class LabeledConfig:
+class LabeledConfig(_Record):
     """A submatrix with its original row and column labels.
 
     ``config`` is None when no column survives (the empty-stratum signal).

@@ -10,7 +10,6 @@ face lattices of zero-weight digraph cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -24,11 +23,10 @@ from .errors import (
     ValueTypeError,
 )
 from .matrix import TropicalMatrix
-from .semiring import INF, TVal, _index, _iterable, tpoint, tval
+from .semiring import INF, TVal, _Record, _index, _instance, _iterable, tpoint, tval
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
+class WeightedDigraph(_Record):
     """Digraph on nodes 1..k with finite rational arc weights.
 
     Loops and antiparallel arc pairs are allowed; an absent arc stands for
@@ -92,8 +90,7 @@ class WeightedDigraph:
         return hash((self.k, frozenset(self.arcs.items())))
 
 
-@dataclass(frozen=True)
-class NodePartition:
+class NodePartition(_Record):
     """Partition of 1..k into disjoint nonempty blocks, canonically ordered."""
 
     k: int
@@ -290,7 +287,7 @@ def detect_negative_cycle(w: WeightedDigraph) -> list[int] | None:
     node sequence with the start repeated at the end.
     """
     try:
-        _star(w.k, _scaled(w.arcs)[1])
+        _star(_instance(w, WeightedDigraph).k, _scaled(w.arcs)[1])
     except InfeasibleError as exc:
         return exc.cycle
     return None
@@ -298,6 +295,7 @@ def detect_negative_cycle(w: WeightedDigraph) -> list[int] | None:
 
 def cycle_weight(w: WeightedDigraph, cycle: Sequence[int]) -> Fraction:
     """Total weight of a closed walk given as a node sequence with repeated start."""
+    _instance(w, WeightedDigraph)
     nodes = [_index(v, "a node") for v in _iterable(cycle, "a cycle")]
     if len(nodes) < 2 or nodes[0] != nodes[-1]:
         raise DomainError(f"{nodes} is not a node sequence with repeated start")
@@ -315,7 +313,7 @@ def kleene_star(w: WeightedDigraph) -> TropicalMatrix:
 
     The tropical power formula serves as an independent oracle in the tests.
     """
-    scale, arcs = _scaled(w.arcs)
+    scale, arcs = _scaled(_instance(w, WeightedDigraph).arcs)
     rows = (tuple(INF if x is None else Fraction(x, scale) for x in r) for r in _star(w.k, arcs))
     return TropicalMatrix(w.k, w.k, tuple(rows))
 
@@ -326,7 +324,7 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
     Two nodes share a block iff they lie on a common zero-weight cycle,
     i.e. w*_ij = -w*_ji < inf.  The block count equals dim Q(W).
     """
-    dist = _star(w.k, _scaled(w.arcs)[1])
+    dist = _star(_instance(w, WeightedDigraph).k, _scaled(w.arcs)[1])
     pairs = [
         (i + 1, j + 1)
         for i in range(w.k)
@@ -344,6 +342,7 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
 
 def face(w: WeightedDigraph, g: Iterable[tuple[int, int]]) -> WeightedDigraph:
     """The matrix W#G of the face F_G: w_ji is replaced by -w_ij for (i,j) in G."""
+    arcs = dict(_instance(w, WeightedDigraph).arcs)
     gset = frozenset(_index(a, "an arc", pair=True) for a in _iterable(g, "arcs"))
     for (i, j) in gset:
         if (i, j) not in w.arcs:
@@ -353,7 +352,6 @@ def face(w: WeightedDigraph, g: Iterable[tuple[int, int]]) -> WeightedDigraph:
             raise InconsistentFaceError(
                 f"arcs ({i},{j}) and ({j},{i}) both tight but weights do not cancel"
             )
-    arcs = dict(w.arcs)
     for (i, j) in gset:
         arcs[(j, i)] = -w.arcs[(i, j)]
     return WeightedDigraph(w.k, arcs)
@@ -361,7 +359,7 @@ def face(w: WeightedDigraph, g: Iterable[tuple[int, int]]) -> WeightedDigraph:
 
 def intersect(u: WeightedDigraph, w: WeightedDigraph) -> WeightedDigraph:
     """Q(U) with Q(W) intersected: the entrywise minimum U + W (min)."""
-    if u.k != w.k:
+    if _instance(u, WeightedDigraph).k != _instance(w, WeightedDigraph).k:
         raise ShapeError("intersection needs equal node counts")
     arcs = dict(u.arcs)
     for a, wt in w.arcs.items():
@@ -373,7 +371,7 @@ def intersect(u: WeightedDigraph, w: WeightedDigraph) -> WeightedDigraph:
 def project(w: WeightedDigraph, deleted: Iterable[int]) -> WeightedDigraph:
     """Coordinate projection of Q(W): delete rows/columns of W* indexed by I."""
     dset = frozenset(_index(i, "a node") for i in _iterable(deleted, "a node set"))
-    if not dset <= set(range(1, w.k + 1)):
+    if not dset <= set(range(1, _instance(w, WeightedDigraph).k + 1)):
         raise DomainError("projection index set out of range")
     if len(dset) == w.k:
         raise DomainError("cannot project away every coordinate")
@@ -387,7 +385,7 @@ def membership(
 ) -> tuple[bool, frozenset[tuple[int, int]]]:
     """Whether the finite point x lies in Q(W), plus the arcs attained with equality."""
     pt = tpoint(x)
-    if len(pt) != w.k:
+    if len(pt) != _instance(w, WeightedDigraph).k:
         raise ShapeError(f"point has length {len(pt)}, digraph has {w.k} nodes")
     if any(c is INF for c in pt):
         raise DomainError("membership needs a finite point")
@@ -409,7 +407,7 @@ def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
     of the columns is then tight precisely on the zero-cycle arcs.  A cycle
     through a big-M arc outweighs its other arcs, so it is never negative.
     """
-    k = w.k
+    k = _instance(w, WeightedDigraph).k
     scale, arcs = _scaled(w.arcs)
     big = (k + 1) * (max(map(abs, arcs.values()), default=0) + scale)
     filled = {(i, j): big for i in range(1, k + 1) for j in range(1, k + 1) if i != j}
@@ -421,8 +419,7 @@ def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
 # recession cones and digraph cone combinatorics
 
 
-@dataclass(frozen=True)
-class RecessionDecomposition:
+class RecessionDecomposition(_Record):
     """Generators of the recession cone of Q(W) as 0/1 characteristic vectors."""
 
     lineality_generators: tuple[tuple[int, ...], ...]
@@ -443,7 +440,7 @@ def recession(w: WeightedDigraph) -> RecessionDecomposition:
     whose complement within its weak component is connected, with every
     cut arc directed into K.
     """
-    arcs = list(w.arcs)
+    arcs = list(_instance(w, WeightedDigraph).arcs)
     comps = weak_components(w.k, arcs)
     lineality = tuple(_chi(w.k, c) for c in comps)
     rays = []
@@ -467,8 +464,7 @@ def recession(w: WeightedDigraph) -> RecessionDecomposition:
     return RecessionDecomposition(lineality, tuple(sorted(rays)))
 
 
-@dataclass(frozen=True)
-class ConeFaceLattice:
+class ConeFaceLattice(_Record):
     """Face lattice of a digraph cone, encoded by equality partitions.
 
     The elements are ordered by refinement: finer partitions correspond to
@@ -509,7 +505,7 @@ def cone_face_lattice(gamma: WeightedDigraph, *, node_bound: int = 10) -> ConeFa
     A partition qualifies iff each block induces a weakly connected
     subgraph and contracting the blocks leaves no directed cycle.
     """
-    if gamma.k > _index(node_bound, "a node bound"):
+    if _instance(gamma, WeightedDigraph).k > _index(node_bound, "a node bound"):
         raise CapabilityError(
             f"face lattice enumeration is limited to {node_bound} nodes, got {gamma.k}"
         )
@@ -533,7 +529,7 @@ def acyclic_reduction(gamma: WeightedDigraph) -> tuple[WeightedDigraph, NodePart
     Arcs between distinct components keep the minimum weight over the
     original cross arcs; intra-component arcs are dropped.
     """
-    comps = strong_components(gamma.k, gamma.arcs)
+    comps = strong_components(_instance(gamma, WeightedDigraph).k, gamma.arcs)
     part = NodePartition.make(gamma.k, comps)
     idx = {}
     for t, b in enumerate(part.blocks, start=1):

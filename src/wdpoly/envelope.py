@@ -11,7 +11,6 @@ simplices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -25,17 +24,16 @@ from .digraph import (
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, InfeasibleError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
-from .semiring import INF, _index, _instance, _iterable, _position
+from .semiring import INF, _Record, _index, _instance, _iterable, _position
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(_Record):
     """A d-by-n matrix over the tropical semiring, no all-infinite column."""
 
     v: TropicalMatrix
 
     def __post_init__(self):
-        for j, col in enumerate(zip(*self.v.entries), start=1):
+        for j, col in enumerate(zip(*_instance(self.v, TropicalMatrix).entries), start=1):
             if all(x is INF for x in col):
                 raise DomainError(f"column {j} is entirely infinite")
 
@@ -72,10 +70,10 @@ class PointConfig:
         return frozenset(i for i, row in enumerate(self.v.entries, start=1) if row[c] is not INF)
 
 
-@dataclass(frozen=True, slots=True)
-class BipartiteSupportGraph:
+class BipartiteSupportGraph(_Record):
     """A set of arcs inside [d] x [n], row side first."""
 
+    __slots__ = ("d", "n", "arcs")
     d: int
     n: int
     arcs: frozenset[tuple[int, int]]
@@ -367,10 +365,10 @@ def enumerate_covector_graphs(
 # regular subdivision
 
 
-@dataclass(frozen=True, slots=True)
-class SubdivisionCell:
+class SubdivisionCell(_Record):
     """A cell of the regular subdivision, given by its vertex set in [d] x [n]."""
 
+    __slots__ = ("vertices", "dimension")
     vertices: frozenset[tuple[int, int]]
     dimension: int
 

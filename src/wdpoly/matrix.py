@@ -7,7 +7,6 @@ combinatorial notation; storage is a plain tuple of tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -15,10 +14,10 @@ from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ShapeError
 from .semiring import INF, TVal, _index, _iterable, _position, tadd, tmul, tsum, tval
+from .semiring import _Record, _instance
 
 
-@dataclass(frozen=True)
-class TropicalMatrix:
+class TropicalMatrix(_Record):
     """A rows-by-cols matrix over the min-plus semiring, stored as a tuple of rows."""
 
     rows: int
@@ -92,7 +91,7 @@ class TropicalMatrix:
 
 def trop_mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     """Min-plus matrix product: entry (i,j) = min over l of a[i,l] + b[l,j]."""
-    if a.cols != b.rows:
+    if _instance(a, TropicalMatrix).cols != _instance(b, TropicalMatrix).rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     bt = b.transpose().entries
     out = tuple(
@@ -123,14 +122,13 @@ def _add_row(table: dict, row: Sequence[TVal]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class TropicalDetResult:
+class TropicalDetResult(_Record, uncompared=("_levels",)):
     """A tropical determinant; ``optimal_permutations`` is listed on first read."""
 
     value: TVal
     vanishes: bool
-    _rows: tuple[tuple[TVal, ...], ...] = field(repr=False)
-    _levels: tuple[dict, ...] = field(repr=False, compare=False)
+    _rows: tuple[tuple[TVal, ...], ...]
+    _levels: tuple[dict, ...]
 
     @cached_property
     def optimal_permutations(self) -> frozenset[tuple[int, ...]]:
@@ -160,7 +158,7 @@ def trop_det(a: TropicalMatrix, *, perm_bound: int = 9) -> TropicalDetResult:
     attained at least twice.  ``perm_bound`` caps k, because reading
     ``optimal_permutations`` may list up to k! permutations.
     """
-    if not a.is_square:
+    if not _instance(a, TropicalMatrix).is_square:
         raise ShapeError("tropical determinant needs a square matrix")
     k = a.rows
     if k > _index(perm_bound, "a permutation bound"):
@@ -182,7 +180,7 @@ def is_generic(
     of their first k-1 and holds all their k x k minors.  A guard raises
     CapabilityError when there are more than ``submatrix_bound`` minors.
     """
-    d, n = v.rows, v.cols
+    d, n = _instance(v, TropicalMatrix).rows, v.cols
     total = sum(comb(d, k) * comb(n, k) for k in range(1, min(d, n) + 1))
     if total > _index(submatrix_bound, "a submatrix bound"):
         raise CapabilityError(

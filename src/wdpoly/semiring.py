@@ -7,6 +7,8 @@ arithmetic is exact; floating point input is rejected.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import DomainError, ValueTypeError
@@ -87,6 +89,64 @@ def tval(x) -> TVal:
     raise ValueTypeError(f"cannot interpret {x!r} as a tropical value")
 
 
+class _Record:
+    """Base of the frozen value classes; the fields are a subclass's own annotations, in order.
+
+    A record is built from its fields by position or name, then ``__post_init__``
+    checks it.  Assignment and deletion raise ``AttributeError``.  Equality holds
+    only within one class and, like the hash, reads the fields not named in the
+    class keyword ``uncompared``.  The repr leaves out private fields, and pickle
+    and copy rebuild a record through ``__init__``.  No method is generated per
+    class, so defining the records costs a process only their class bodies.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, uncompared=()):
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*(f for f in cls._fields if f not in uncompared))
+        # a slot's descriptor sets it with no lookup by name, as cheaply as generated code
+        own = vars(cls)
+        cls._setters = tuple(own[f].__set__ if f in own else partial(_set, f) for f in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in fields[len(args):] if f in kwargs)
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+        if self.__post_init__ is not None:
+            self.__post_init__()
+
+    __post_init__ = None  # or a method that checks the fields once they are set
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if not f.startswith("_"))
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+def _set(name: str, record: _Record, value) -> None:
+    object.__setattr__(record, name, value)
+
+
 def _iterable(xs, what: str) -> Iterable:
     """``xs`` itself; a bare string or a non-iterable raises ``ValueTypeError``."""
     if isinstance(xs, str) or not isinstance(xs, Iterable):
@@ -125,7 +185,8 @@ def tpoint(xs) -> tuple[TVal, ...]:
 
 
 def is_finite(v: TVal) -> bool:
-    return v is not INF
+    """Whether v is rational; a value other than a Fraction or INF raises ``ValueTypeError``."""
+    return v is not INF and _instance(v, Fraction) is v
 
 
 def tadd(a: TVal, b: TVal) -> TVal:

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +13,7 @@ from wdpoly import (
     INF,
     BipartiteSupportGraph,
     CapabilityError,
+    CellRecord,
     DomainError,
     EmptyCellError,
     HalfspaceSystem,
@@ -375,12 +375,16 @@ def test_tangent_digraph_takes_only_torus_cells_of_its_shape():
     h = HalfspaceSystem.make(v, G(2, 2, [(1, 1), (2, 2)]))
     origin = next(c for c in enumerate_cells(v) if c.graph.arcs == {(1, 1), (2, 2)})
     stratum = next(c for c in projective_decomposition(v) if c.stratum)
+
+    def regraphed(graph):
+        return CellRecord(graph, origin.dimension, origin.bounded, origin.in_tcone, origin.stratum)
+
     with pytest.raises(EmptyCellError, match="misses a column"):
-        tangent_digraph(h, replace(origin, graph=G(2, 2, [])))
+        tangent_digraph(h, regraphed(G(2, 2, [])))
     with pytest.raises(EmptyCellError, match="boundary stratum"):
         tangent_digraph(h, stratum)
     with pytest.raises(ShapeError):
-        tangent_digraph(h, replace(origin, graph=G(2, 3, [(1, 1), (2, 2), (1, 3)])))
+        tangent_digraph(h, regraphed(G(2, 3, [(1, 1), (2, 2), (1, 3)])))
 
 
 # ---------------------------------------------------------------------------

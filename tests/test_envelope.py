@@ -22,6 +22,7 @@ from wdpoly import (
     face_projection_matrix,
     interior_point_of_face,
     is_covector_graph,
+    is_generic,
     membership,
     regular_subdivision,
 )
@@ -280,3 +281,17 @@ def test_walk_matches_the_union_saturation_oracle_on_rationals(case):
         ok, tight = membership(envelope_digraph(v), tuple(y) + tuple(z))
         assert ok
         assert tight == {(i, v.d + j) for (i, j) in closed}
+
+
+def test_generic_iff_the_subdivision_is_a_triangulation():
+    """Develin-Sturmfels, "Tropical convexity" (2004): a finite V is generic iff
+    every maximal cell of its regular subdivision is a simplex of d + n - 1 vertices."""
+    rng = random.Random(16)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        d, n, spread = rng.randint(2, 4), rng.randint(2, 5), rng.choice((2, 60))
+        v = PointConfig.make([[rng.randint(-spread, spread) for _ in range(n)] for _ in range(d)])
+        generic, _ = is_generic(v.v)
+        assert generic == all(len(c.vertices) == d + n - 1 for c in regular_subdivision(v))
+        seen[generic] += 1
+    assert min(seen.values()) > 100, seen  # both sides of the iff are exercised

@@ -1,7 +1,8 @@
-"""The lazily loading package: public names, submodules and what a CLI start imports."""
+"""The lazily loading package: public names, submodules, what a CLI start imports,
+and the input contract of every public entry point."""
 
-import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +11,17 @@ import sys
 import pytest
 
 import wdpoly
+from wdpoly import (
+    INF,
+    BipartiteSupportGraph,
+    HalfspaceSystem,
+    PointConfig,
+    ProjectivePoint,
+    SignVector,
+    TropicalError,
+    WeightedDigraph,
+    enumerate_cells,
+)
 from wdpoly.cli import run
 
 
@@ -31,11 +43,64 @@ def test_star_import_binds_every_name_and_an_unknown_name_fails():
         exec("from wdpoly import no_such_name", {})
 
 
-def test_public_dataclasses_have_their_own_docstrings():
+def test_public_classes_have_their_own_docstrings():
     for name in wdpoly.__all__:
         obj = getattr(wdpoly, name)
-        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
-            assert obj.__doc__ and not obj.__doc__.startswith(f"{obj.__name__}("), name
+        if isinstance(obj, type):
+            assert vars(obj).get("__doc__"), name
+
+
+V = PointConfig.make([[0, 1], [1, 0]])
+GRAPH = BipartiteSupportGraph.make(2, 2, [(1, 1), (2, 2)])
+CELL = next(c for c in enumerate_cells(V) if c.graph == GRAPH)
+# A valid argument for each annotation of a required positional parameter or a field.
+SAMPLES = {
+    "BipartiteSupportGraph": GRAPH,
+    "CellRecord": CELL,
+    "CovectorGraph": GRAPH,
+    "HalfspaceSystem": HalfspaceSystem.make(V, GRAPH),
+    "Iterable[int]": [1],
+    "Iterable[tuple[int, int]]": [(1, 2)],
+    "PointConfig": V,
+    "ProjectivePoint": ProjectivePoint.make([0, 0]),
+    "Sequence": [0, 0],
+    "Sequence[CellRecord]": [CELL],
+    "Sequence[TVal]": [0, 0],
+    "Sequence[int]": [1, 2, 1],
+    "SignVector": SignVector.make("+-"),
+    "TVal": INF,
+    "TropicalMatrix": V.v,
+    "WeightedDigraph": WeightedDigraph.make(2, {(1, 2): 1, (2, 1): 0}),
+    "int": 1,
+    "tuple[TVal, ...]": (0, 0),
+    inspect.Parameter.empty: "0",
+}
+# min, + and min over an iterable run per matrix entry, so they take their values unchecked
+UNCHECKED = {"tadd", "tmul", "tsum"}
+
+
+def _required(obj):
+    """The annotations of a function's required positional parameters or of a record's fields."""
+    if isinstance(obj, type):
+        return [obj.__annotations__[f] for f in obj._fields]
+    params = inspect.signature(obj).parameters.values()
+    return [p.annotation for p in params
+            if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty]
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in set(wdpoly.__all__) - UNCHECKED
+    if inspect.isfunction(obj := getattr(wdpoly, name))
+    or isinstance(obj, type) and "__post_init__" in vars(obj)
+))
+def test_a_list_in_any_required_slot_raises_a_tropical_error(name):
+    """Every public function, and every record that checks its fields, meets the input contract."""
+    fn = getattr(wdpoly, name)
+    args = [SAMPLES[a] for a in _required(fn)]
+    fn(*args)  # the samples are valid, so each error below comes from the list
+    for i in range(len(args)):
+        with pytest.raises(TropicalError):
+            fn(*args[:i], [[0]], *args[i + 1:])
 
 
 def _fresh_python(code, *args):
@@ -77,6 +142,14 @@ def test_importing_the_cli_loads_only_its_layers():
     layers = ("cli", "digraph", "errors", "formats", "matrix", "semiring")
     want = ["wdpoly"] + [f"wdpoly.{m}" for m in layers]
     assert loaded == repr(want)
+
+
+def test_the_cli_and_cell_layers_load_no_code_generation_or_introspection():
+    code = (
+        "import sys, wdpoly.cli, wdpoly.covector, wdpoly.envelope\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
+    )
+    assert _fresh_python(code).stdout == "[]\n"
 
 
 def test_help_names_every_verb_and_a_typo_is_a_usage_error(capsys):
