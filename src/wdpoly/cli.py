@@ -252,7 +252,7 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
                 "--bound",
                 type=int,
                 default=1_000_000,
-                help="cap on the covector graphs one walk holds (per stratum for projective)",
+                help="cap on the covector graphs the walk holds, found or pending",
             )
         if name == "faces":
             p.add_argument(

@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .digraph import WeightedDigraph
+from .digraph import WeightedDigraph, _star, weak_components
 from .envelope import (
     BipartiteSupportGraph,
     CovectorGraph,
     PointConfig,
+    _arcs_of,
     _walk,
     interior_point_of_face,
 )
@@ -204,38 +205,38 @@ class CellRecord(_Record):
         )
 
 
-def _cells(
-    v: PointConfig, stratum: frozenset[int], candidate_bound: int, cover=None
-) -> list[CellRecord]:
-    """The cells where the rows ``stratum`` are infinite, unsorted, from ``envelope._walk``.
+def _cell(v: PointConfig, g: list, dimension: int, bounded: bool, stratum: tuple = ()):
+    """(sort key, cell) of the graph ``g`` on the sorted ``stratum``, arcs in sorted order.
 
-    The stratum's rows and the columns that meet them are isolated nodes,
-    which the dimension leaves out.  X_G is the projection of the face F_G
-    to the other rows, cut out by their block of the face's Kleene star; so
-    X_G is bounded modulo translation iff that block has no infinite entry.
-    Every graph of the walk covers its walked columns, so X_G lies in the
-    tropical cone iff G also covers every row.
+    The key is ``CellRecord.sort_key`` without a sort; no two cells share one,
+    so a list of pairs sorts by key alone.  A graph covers the columns avoiding
+    its stratum, so X_G lies in the tropical cone iff G covers every row.
     """
-    walk = _walk(v, candidate_bound, stratum, cover)
-    rows = [i - 1 for i in range(1, v.d + 1) if i not in stratum]
-    dropped = sum(any(col[i - 1] is not INF for i in stratum) for col in zip(*v.v.entries))
-    return [
-        CellRecord(
-            BipartiteSupportGraph(v.d, v.n, arcs),
-            components - len(stratum) - dropped - 1,  # dimension
-            all(star[r][c] is not None for r in rows for c in rows),  # bounded
-            len({i for i, _ in arcs}) == v.d,  # in_tcone
-            stratum,
-        )
-        for arcs, star, components in walk
-    ]
+    key = (len(stratum), stratum, -dimension, tuple(g))
+    in_tcone = len({i for i, _ in g}) == v.d
+    graph = BipartiteSupportGraph(v.d, v.n, frozenset(g))
+    return key, CellRecord(graph, dimension, bounded, in_tcone, frozenset(stratum))
+
+
+def _cells(v: PointConfig, candidate_bound: int, cover=None):
+    """The walk's arcs and {mask: (sort key, cell)} per torus cell, from ``envelope._walk``.
+
+    X_G, the projection of the face F_G to R^d, is cut out by the rows' block
+    of the face's star, so it is bounded modulo translation iff that block is finite.
+    """
+    arcs, walk = _walk(v, candidate_bound, cover)
+    d, cells = v.d, {}
+    for mask, star, components in walk:
+        bounded = all(None not in row[:d] for row in star[:d])
+        cells[mask] = _cell(v, _arcs_of(arcs, mask), components - 1, bounded)
+    return arcs, cells
 
 
 def enumerate_cells(
     v: PointConfig, *, candidate_bound: int = 1_000_000
 ) -> list[CellRecord]:
     """All cells of the covector decomposition of the projective torus."""
-    return sorted(_cells(v, frozenset(), candidate_bound), key=CellRecord.sort_key)
+    return [c for _, c in sorted(_cells(v, candidate_bound)[1].values())]
 
 
 def maximal_cells(cells: Sequence[CellRecord]) -> list[CellRecord]:
@@ -281,7 +282,7 @@ class SignVector(_Record):
 
     @classmethod
     def all_plus(cls, n: int) -> "SignVector":
-        return cls(("+",) * n)
+        return cls(("+",) * _index(n, "a column count"))
 
     def __str__(self) -> str:
         return "".join(self.signs)
@@ -368,10 +369,8 @@ def cells_of_halfspace(
     A cell belongs iff its covector graph keeps an arc of psi in every column,
     so the walk counts only psi's arcs toward covering one (``envelope._walk``).
     """
-    return sorted(
-        _cells(_instance(h, HalfspaceSystem).config, frozenset(), candidate_bound, h.psi.arcs),
-        key=CellRecord.sort_key,
-    )
+    cells = _cells(_instance(h, HalfspaceSystem).config, candidate_bound, h.psi.arcs)[1]
+    return [c for _, c in sorted(cells.values())]
 
 
 def is_pure(
@@ -503,18 +502,39 @@ def boundary_matrix(v: PointConfig, z: Iterable[int]) -> LabeledConfig:
 def projective_decomposition(
     v: PointConfig, *, candidate_bound: int = 1_000_000
 ) -> list[CellRecord]:
-    """All cells of the decomposition of tropical projective space.
+    """All cells of the decomposition of tropical projective space, from one torus walk.
 
-    The torus cells, then the cells of every nonempty proper set of rows
-    sent to infinity.  A stratum none of whose columns survive is the
-    walk's root alone: one cell with an empty covector graph.
+    Where the rows K are infinite, a column avoiding K keeps its torus argmin
+    rows and pushing x_K to +inf sends every other column into K's sectors, so
+    K's graphs are those of K minus its largest row restricted to the other
+    rows and the columns avoiding K (``cell_boundary_restriction``).  The
+    dimension leaves out K's rows and the columns meeting K.  X_G is bounded iff
+    r -> r', for r in the support of a surviving column j and (r', j) in G,
+    strongly connects the other rows: there the face's star is finite.
     """
-    out = enumerate_cells(v, candidate_bound=candidate_bound)
+    arcs, torus = _cells(v, candidate_bound)
+    out = list(torus.values())
+    supports = [v.column_support(j) for j in range(1, v.n + 1)]
+    strata = {(): torus}
     for size in range(1, v.d):
-        for zrows in itertools.combinations(range(1, v.d + 1), size):
-            out.extend(_cells(v, frozenset(zrows), candidate_bound))
-    out.sort(key=CellRecord.sort_key)
-    return out
+        for k in itertools.combinations(range(1, v.d + 1), size):
+            rows = [i for i in range(1, v.d + 1) if i not in k]
+            cols = {j for j, s in enumerate(supports, start=1) if s.isdisjoint(k)}
+            keep = sum(1 << b for b, (_, j) in enumerate(arcs) if j in cols)
+            if size == v.d - 1:  # one row left: a point, and every torus graph holds all of keep
+                out.append(_cell(v, _arcs_of(arcs, keep), 0, True, k))
+                continue
+            strata[k] = {g & keep for g in strata[k[:-1]]}
+            for mask in strata[k]:
+                g = _arcs_of(arcs, mask)
+                components = len(weak_components(v.d + v.n, [(i, v.d + j) for i, j in g]))
+                dimension = components - size - (v.n - len(cols)) - 1
+                bounded = len({i for i, _ in g}) == len(rows)  # else a row is reached by none
+                if bounded:
+                    star = _star(v.d, {(r, i): 0 for i, j in g for r in supports[j - 1]})
+                    bounded = all(star[r - 1][s - 1] is not None for r in rows for s in rows)
+                out.append(_cell(v, g, dimension, bounded, k))
+    return [c for _, c in sorted(out)]
 
 
 def cell_boundary_restriction(

@@ -56,7 +56,7 @@ class WeightedDigraph(_Record):
 
     @classmethod
     def from_matrix(cls, m: TropicalMatrix) -> "WeightedDigraph":
-        if not m.is_square:
+        if not _instance(m, TropicalMatrix).is_square:
             raise ShapeError("weighted digraph needs a square matrix")
         arcs = {
             (i, j): x
@@ -75,7 +75,7 @@ class WeightedDigraph(_Record):
         )
 
     def weight(self, i: int, j: int) -> TVal:
-        return self.arcs.get((i, j), INF)
+        return self.arcs.get((_index(i, "a node"), _index(j, "a node")), INF)
 
     def zero_weights(self) -> "WeightedDigraph":
         """Same arc set, all weights zero (the digraph cone data)."""
@@ -116,7 +116,7 @@ class NodePartition(_Record):
     def refines(self, other: "NodePartition") -> bool:
         """True if every block of self lies inside a block of other."""
         lookup = {}
-        for idx, b in enumerate(other.blocks):
+        for idx, b in enumerate(_instance(other, NodePartition).blocks):
             for i in b:
                 lookup[i] = idx
         return all(len({lookup[i] for i in b}) == 1 for b in self.blocks)
@@ -478,7 +478,7 @@ class ConeFaceLattice(_Record):
     top: NodePartition
 
     def face_dimension(self, p: NodePartition) -> int:
-        return len(p.blocks)
+        return len(_instance(p, NodePartition).blocks)
 
 
 def _set_partitions(k: int):

@@ -88,9 +88,11 @@ class BipartiteSupportGraph(_Record):
         return cls(d, n, aset)
 
     def row_neighbors(self, i: int) -> tuple[int, ...]:
+        i = _index(i, "a row")
         return tuple(sorted(j for (a, j) in self.arcs if a == i))
 
     def col_neighbors(self, j: int) -> tuple[int, ...]:
+        j = _index(j, "a column")
         return tuple(sorted(i for (i, b) in self.arcs if b == j))
 
     def weak_component_count(self) -> int:
@@ -270,66 +272,67 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 # enumeration of covector graphs
 
 
-def _walk(v: PointConfig, candidate_bound: int, stratum=frozenset(), cover=None):
-    """The walk of ``enumerate_covector_graphs``: (arcs, star, components) per graph G.
+def _walk(v: PointConfig, candidate_bound: int, cover=None):
+    """V's sorted support arcs, and the walk of ``enumerate_covector_graphs`` over them.
 
+    The walk yields (mask, star, components) per graph G: bit b of ``mask``
+    is the arc ``arcs[b]`` (``_arcs_of`` reads them back for a record),
     ``star`` is the scaled Kleene star of W#G and ``components`` the number
-    of weak components of G on all d+n nodes, isolated nodes included:
-    each pending graph keeps a component label per node, and a new closure
-    merges the labels along the arcs it adds.  The walk runs, in V's own
-    labels, over the columns whose support avoids the rows ``stratum``;
-    those rows and the other columns are isolated in every star.  Rather
-    than hold more than ``candidate_bound`` graphs, found or pending, it raises.
+    of weak components of G on all d+n nodes, isolated nodes included: each
+    pending graph keeps a component label per node, and a new closure merges
+    the labels along the arcs it adds.  Rather than hold more than
+    ``candidate_bound`` graphs, found or pending, it raises.
 
     It yields the graphs with an arc of ``cover`` (default: every support arc)
-    in each walked column.  A graph missing one grows only by those arcs in its
+    in each column.  A graph missing one grows only by those arcs in its
     first such column, and otherwise by every support arc.  So each yielded H
     is reached: a graph G inside H missing column j has H's cover arc a in
     column j, and closure(G+a) lies in H; from a graph inside H with a cover
     arc in every column, H is reached one arc at a time.
     """
     bound = _index(candidate_bound, "a candidate bound")
-    return _climb(_instance(v, PointConfig), bound, stratum, cover)
+    arcs = sorted(_instance(v, PointConfig).support().arcs)
+    return arcs, _climb(v, bound, arcs, set(arcs) if cover is None else cover)
 
 
-def _climb(v: PointConfig, candidate_bound: int, stratum: frozenset[int], cover):
-    supports = {j: v.column_support(j) for j in range(1, v.n + 1)}
-    cols = [j for j, s in supports.items() if not s & stratum]
-    arcs = sorted((i, j) for j in cols for i in supports[j])
+def _arcs_of(arcs: list[tuple[int, int]], mask: int) -> list[tuple[int, int]]:
+    """The arcs whose bits are set in ``mask``: ``bin(mask)`` reversed lists bit 0 first."""
+    return [a for a, bit in zip(arcs, bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _climb(v: PointConfig, candidate_bound: int, arcs: list[tuple[int, int]], cover):
     entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
-    nodes = {(i, j): (i - 1, v.d + j - 1, w) for (i, j), w in entries.items()}
-    keep = nodes if cover is None else cover  # the arcs that may grow a graph missing a column
-    grow = {j: [(a, rc) for a, rc in nodes.items() if a[1] == j and a in keep] for j in cols}
-    empty: frozenset[tuple[int, int]] = frozenset()
-    seen = {empty}
+    nodes = [(1 << b, i - 1, v.d + j - 1, entries[i, j]) for b, (i, j) in enumerate(arcs)]
+    # per column: the arcs that may cover it, as nodes, and the mask of their bits
+    grow = [[x for x, a in zip(nodes, arcs) if a[1] == j + 1 and a in cover] for j in range(v.n)]
+    grow = [(sum(x[0] for x in col), col) for col in grow]
+    seen = {0}
     root = [[0 if a == b else None for b in range(v.d + v.n)] for a in range(v.d + v.n)]
-    for r, c, w in nodes.values():
+    for _, r, c, w in nodes:
         root[r][c] = w
-    stack = [(empty, root, list(range(v.d + v.n)), v.d + v.n)]
+    stack = [(0, root, list(range(v.d + v.n)), v.d + v.n)]
     found = 0
     while stack:
         g, star, labels, components = stack.pop()
-        covered = {j for _, j in (g if cover is None else g & cover)}
-        missing = next((j for j in cols if j not in covered), None)
+        missing = next((col for m, col in grow if not g & m), None)
         if missing is None:
             found += 1
             yield g, star, components
-        rest = [(a, rc) for a, rc in nodes.items() if a not in g]
-        for a, (r, c, w) in rest if missing is None else grow[missing]:
+        rest = [x for x in nodes if not g & x[0]]
+        for _, r, c, w in rest if missing is None else missing:
             if star[r][c] != w:
                 continue  # the face G+a is empty
             # closure(G+a) read off S: for b outside G, S'[cb][rb] is
             # S[cb][c] - w + S[r][rb] when that is smaller, and b is tight
             # iff it equals -wb.
             from_r = star[r]
-            added = [
-                b
-                for b, (rb, cb, wb) in rest
+            closed = g | sum(
+                bit
+                for bit, rb, cb, wb in rest
                 if (x := star[cb][c]) is not None
                 and (y := from_r[rb]) is not None
                 and x + y + wb == w
-            ]
-            closed = g.union(added)
+            )
             if closed not in seen:
                 if len(seen) >= candidate_bound:
                     raise CapabilityError(
@@ -338,9 +341,8 @@ def _climb(v: PointConfig, candidate_bound: int, stratum: frozenset[int], cover)
                     )
                 seen.add(closed)
                 merged, count = list(labels), components
-                for b in added:
-                    x, y = merged[nodes[b][0]], merged[nodes[b][1]]
-                    if x != y:
+                for bit, rb, cb, _ in rest:
+                    if closed & bit and (x := merged[rb]) != (y := merged[cb]):
                         merged = [x if z == y else z for z in merged]
                         count -= 1
                 stack.append((closed, _tighten(star, r, c, w), merged, count))
@@ -357,8 +359,9 @@ def enumerate_covector_graphs(
     a nonempty face iff S[i][d+j] == v_ij; ``_walk`` says why every graph
     covering all columns is reached.
     """
-    graphs = [BipartiteSupportGraph(v.d, v.n, g) for g, _, _ in _walk(v, candidate_bound)]
-    return sorted(graphs, key=lambda g: (len(g.arcs), g.sorted_arcs()))
+    arcs, walk = _walk(v, candidate_bound)
+    graphs = sorted((_arcs_of(arcs, g) for g, _, _ in walk), key=lambda g: (len(g), g))
+    return [BipartiteSupportGraph(v.d, v.n, frozenset(g)) for g in graphs]
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +387,7 @@ def regular_subdivision(
     as many weak components as the support.  The cell conv{e_i (+) e_j :
     (i,j) in G} then has dimension d + n - (weak components of G) - 1.
     """
-    walk = _walk(v, candidate_bound)
+    arcs, walk = _walk(v, candidate_bound)
     minimal = v.support().weak_component_count()
-    cells = [
-        SubdivisionCell(arcs, v.d + v.n - components - 1)
-        for arcs, _, components in walk
-        if components == minimal
-    ]
-    return sorted(cells, key=lambda c: tuple(sorted(c.vertices)))
+    graphs = sorted(_arcs_of(arcs, g) for g, _, components in walk if components == minimal)
+    return [SubdivisionCell(frozenset(g), v.d + v.n - minimal - 1) for g in graphs]

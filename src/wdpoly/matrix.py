@@ -61,7 +61,7 @@ class TropicalMatrix(_Record):
 
     def oplus(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Entrywise minimum."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if (self.rows, self.cols) != (_instance(other, TropicalMatrix).rows, other.cols):
             raise ShapeError("entrywise minimum needs equal shapes")
         return TropicalMatrix(
             self.rows,

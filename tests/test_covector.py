@@ -1,5 +1,6 @@
 """Sectors, covector cells, tropical cones, halfspaces, projective strata."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wdpoly.covector
+import wdpoly.envelope
 from wdpoly import (
     INF,
     BipartiteSupportGraph,
@@ -506,6 +509,42 @@ def test_strata_match_the_subconfiguration_oracle(v):
         assert closed == c.graph.arcs | {a for a in support if a[0] in c.stratum}
 
 
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_boundary_strata_are_the_restrictions_of_the_torus_cells(v):
+    torus = enumerate_cells(v)
+    strata = {}
+    for c in projective_decomposition(v):
+        strata.setdefault(c.stratum, []).append(c.graph.arcs)
+    rows = range(1, v.d + 1)
+    assert set(strata) == {
+        frozenset(k) for size in range(v.d) for k in itertools.combinations(rows, size)
+    }
+    for k, graphs in strata.items():
+        expect = {cell_boundary_restriction(v, t.graph, k).arcs for t in torus}
+        assert len(graphs) == len(expect) and set(graphs) == expect
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_five_row_strata_match_the_subconfiguration_oracle(seed):
+    # ``_configs`` draws at most four rows
+    rng = random.Random(seed)
+    n, den = rng.randint(1, 5), rng.choice([1, 3])
+    v = random_config(rng, 5, n, inf_chance=0.25, lo=-2, hi=2, den=den)
+    assert projective_decomposition(v) == projective_decomposition_by_subconfigs(v)
+
+
+def test_projective_decomposition_and_signed_cells_walk_the_torus_once(monkeypatch):
+    walk = wdpoly.envelope._walk
+    assert wdpoly.covector._walk is walk
+    calls = []
+    monkeypatch.setattr(wdpoly.covector, "_walk", lambda *args: calls.append(args) or walk(*args))
+    projective_decomposition(VP)
+    assert len(calls) == 1
+    signed_cells(HalfspaceSystem.make(V8, PSI8))
+    assert len(calls) == 2
+
+
 def _euler(cells):
     return sum((-1) ** c.dimension for c in cells)
 
@@ -825,3 +864,32 @@ def test_cells_of_halfspace_match_the_filter_oracle(h):
     else:
         a, b = witness
         assert a in tops and b in tops and a.dimension != b.dimension
+
+
+# ---------------------------------------------------------------------------
+# the purity theorem: a nonempty intersection of tropical halfspaces in
+# general position, each selecting a proper set of sectors, is pure of full
+# dimension
+
+
+@st.composite
+def _generic_proper_systems(draw):
+    """A generic integer V with 3 <= d <= 5 and n <= 6, each column selecting 1 to d-1 rows."""
+    rng = random.Random(draw(st.integers(0, 2**32)))  # a stream of Random calls can overrun a draw
+    d, n = draw(st.integers(3, 5)), draw(st.integers(1, 6))
+    generic = False
+    while not generic:
+        v = PointConfig.make([[rng.randint(-60, 60) for _ in range(n)] for _ in range(d)])
+        generic, _ = is_generic(v.v)
+    rows = range(1, d + 1)
+    psi = {(i, j) for j in range(1, n + 1) for i in rng.sample(rows, rng.randint(1, d - 1))}
+    return HalfspaceSystem.make(v, G(d, n, psi), require_proper=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generic_proper_systems())
+def test_purity_theorem(h):
+    cells = cells_of_halfspace(h)
+    if cells:
+        assert is_pure(h) == (True, None)
+        assert {c.dimension for c in maximal_cells(cells)} == {h.config.d - 1}

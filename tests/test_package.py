@@ -15,11 +15,14 @@ from wdpoly import (
     INF,
     BipartiteSupportGraph,
     HalfspaceSystem,
+    NodePartition,
     PointConfig,
     ProjectivePoint,
+    Sector,
     SignVector,
     TropicalError,
     WeightedDigraph,
+    cone_face_lattice,
     enumerate_cells,
 )
 from wdpoly.cli import run
@@ -53,16 +56,25 @@ def test_public_classes_have_their_own_docstrings():
 V = PointConfig.make([[0, 1], [1, 0]])
 GRAPH = BipartiteSupportGraph.make(2, 2, [(1, 1), (2, 2)])
 CELL = next(c for c in enumerate_cells(V) if c.graph == GRAPH)
-# A valid argument for each annotation of a required positional parameter or a field.
+W = WeightedDigraph.make(2, {(1, 2): 1, (2, 1): 0})
+# A valid argument for each annotation of a required positional parameter or a
+# field; a record's sample is also the instance whose methods are checked.
 SAMPLES = {
     "BipartiteSupportGraph": GRAPH,
     "CellRecord": CELL,
+    "ConeFaceLattice": cone_face_lattice(W),
     "CovectorGraph": GRAPH,
     "HalfspaceSystem": HalfspaceSystem.make(V, GRAPH),
+    "Iterable": [0, 0],
+    "Iterable[Iterable[int]]": [[1, 2]],
     "Iterable[int]": [1],
+    "Iterable[str] | str": "+-",
     "Iterable[tuple[int, int]]": [(1, 2)],
+    "Mapping[tuple[int, int], object] | Iterable": {(1, 2): 1},
+    "NodePartition": NodePartition.make(2, [[1, 2]]),
     "PointConfig": V,
     "ProjectivePoint": ProjectivePoint.make([0, 0]),
+    "Sector": Sector((0, 0), 1),
     "Sequence": [0, 0],
     "Sequence[CellRecord]": [CELL],
     "Sequence[TVal]": [0, 0],
@@ -70,8 +82,8 @@ SAMPLES = {
     "SignVector": SignVector.make("+-"),
     "TVal": INF,
     "TropicalMatrix": V.v,
-    "WeightedDigraph": WeightedDigraph.make(2, {(1, 2): 1, (2, 1): 0}),
-    "int": 1,
+    "WeightedDigraph": W,
+    "int": 2,
     "tuple[TVal, ...]": (0, 0),
     inspect.Parameter.empty: "0",
 }
@@ -84,18 +96,38 @@ def _required(obj):
     if isinstance(obj, type):
         return [obj.__annotations__[f] for f in obj._fields]
     params = inspect.signature(obj).parameters.values()
-    return [p.annotation for p in params
-            if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty]
+    required = [p.annotation for p in params
+                if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty]
+    return [a.strip("'") if isinstance(a, str) else a for a in required]  # "'TropicalMatrix'"
 
 
-@pytest.mark.parametrize("name", sorted(
+def _entry(name):
+    """The public function or record ``name``, or a method ``Record.name`` of its sample."""
+    record, _, method = name.rpartition(".")
+    return getattr(SAMPLES[record], method) if record else getattr(wdpoly, name)
+
+
+# The public methods with arguments of each record class (under its own name, not
+# an alias), except the two ``make``s of a matrix, for which [[0]] is valid.
+METHODS = {
+    f"{name}.{attr}"
+    for name in set(wdpoly.__all__) & set(SAMPLES)
+    if type(SAMPLES[name]).__name__ == name
+    for attr in vars(type(SAMPLES[name]))
+    if not attr.startswith("_")
+    and inspect.ismethod(fn := getattr(SAMPLES[name], attr)) and _required(fn)
+} - {"TropicalMatrix.make", "PointConfig.make"}
+
+
+@pytest.mark.parametrize("name", sorted(METHODS | {
     name for name in set(wdpoly.__all__) - UNCHECKED
     if inspect.isfunction(obj := getattr(wdpoly, name))
     or isinstance(obj, type) and "__post_init__" in vars(obj)
-))
+}))
 def test_a_list_in_any_required_slot_raises_a_tropical_error(name):
-    """Every public function, and every record that checks its fields, meets the input contract."""
-    fn = getattr(wdpoly, name)
+    """Every public function and record method, and every record that checks its fields,
+    meets the input contract."""
+    fn = _entry(name)
     args = [SAMPLES[a] for a in _required(fn)]
     fn(*args)  # the samples are valid, so each error below comes from the list
     for i in range(len(args)):
