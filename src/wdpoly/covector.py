@@ -13,15 +13,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .digraph import WeightedDigraph, _star, weak_components
-from .envelope import (
-    BipartiteSupportGraph,
-    CovectorGraph,
-    PointConfig,
-    _arcs_of,
-    _walk,
-    interior_point_of_face,
-)
+from .digraph import WeightedDigraph, _star
+from .envelope import BipartiteSupportGraph, CovectorGraph, PointConfig, interior_point_of_face
+from .envelope import _arcs_of, _merged, _walk
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
 from .semiring import INF, TVal, _index, _instance, _iterable, _position, is_finite, tpoint
 from .semiring import _Record
@@ -193,6 +187,14 @@ class CellRecord(_Record):
     in_tcone: bool
     stratum: frozenset[int]
 
+    def __init__(self, graph, dimension: int, bounded: bool, in_tcone: bool, stratum: frozenset):
+        set_graph, set_dimension, set_bounded, set_in_tcone, set_stratum = self._setters
+        set_graph(self, graph)
+        set_dimension(self, dimension)
+        set_bounded(self, bounded)
+        set_in_tcone(self, in_tcone)
+        set_stratum(self, stratum)
+
     def tuple_string(self) -> str:
         return self.graph.tuple_string(self.stratum)
 
@@ -218,17 +220,18 @@ def _cell(v: PointConfig, g: list, dimension: int, bounded: bool, stratum: tuple
     return key, CellRecord(graph, dimension, bounded, in_tcone, frozenset(stratum))
 
 
-def _cells(v: PointConfig, candidate_bound: int, cover=None):
+def _cells(v: PointConfig, candidate_bound: int, cover=None, stop=False):
     """The walk's arcs and {mask: (sort key, cell)} per torus cell, from ``envelope._walk``.
 
-    X_G, the projection of the face F_G to R^d, is cut out by the rows' block
-    of the face's star, so it is bounded modulo translation iff that block is finite.
+    X_G, the projection of the face F_G to R^d, is cut out by the rows' block of
+    the face's star, so it is bounded modulo translation iff that block is finite.
+    A minimal face has no star: its X_G is a point iff its rows share a component.
     """
-    arcs, walk = _walk(v, candidate_bound, cover)
+    arcs, _, walk = _walk(v, candidate_bound, cover, stop)
     d, cells = v.d, {}
-    for mask, star, components in walk:
-        bounded = all(None not in row[:d] for row in star[:d])
-        cells[mask] = _cell(v, _arcs_of(arcs, mask), components - 1, bounded)
+    for g, star, labels, k in walk:
+        bounded = all(None not in r[:d] for r in star[:d]) if star else len(set(labels[:d])) == 1
+        cells[g] = _cell(v, _arcs_of(arcs, g), k - 1, bounded)
     return arcs, cells
 
 
@@ -376,9 +379,12 @@ def cells_of_halfspace(
 def is_pure(
     h: HalfspaceSystem, *, candidate_bound: int = 1_000_000
 ) -> tuple[bool, tuple[CellRecord, CellRecord] | None]:
-    """Whether all inclusion-maximal cells of the halfspace share one dimension."""
-    cells = cells_of_halfspace(h, candidate_bound=candidate_bound)
-    tops = maximal_cells(cells)
+    """Whether all inclusion-maximal cells of the halfspace share one dimension.
+
+    Their graphs are inclusion-minimal, so the walk inside psi grows no cell (``envelope._walk``).
+    """
+    cells = _cells(_instance(h, HalfspaceSystem).config, candidate_bound, h.psi.arcs, True)[1]
+    tops = maximal_cells([c for _, c in cells.values()])
     for b in tops[1:]:
         if b.dimension != tops[0].dimension:
             return False, (tops[0], b)
@@ -411,13 +417,13 @@ def signed_cells(
         raise CapabilityError(
             f"signed cell enumeration is limited to {sign_bound} columns, got {v.n}"
         )
-    support = v.support().arcs
     out = {"".join(signs): [] for signs in itertools.product("+-", repeat=v.n)}
-    for c in projective_decomposition(v, candidate_bound=candidate_bound):
-        closed = c.graph.arcs | {a for a in support if a[0] in c.stratum}
-        plus = {j for (i, j) in closed if (i, j) in h.psi.arcs}
-        minus = {j for (i, j) in closed if (i, j) not in h.psi.arcs}
-        allowed = ["+" * (j in plus) + "-" * (j in minus) for j in range(1, v.n + 1)]
+    arcs, cells = _decomposition(v, candidate_bound)
+    psi = sum(1 << b for b, a in enumerate(arcs) if a in h.psi.arcs)
+    cols = [sum(1 << b for b, a in enumerate(arcs) if a[1] == j) for j in range(1, v.n + 1)]
+    cols = [(col & psi, col & ~psi) for col in cols]
+    for _, c, closed in cells:
+        allowed = [("+" if closed & p else "") + ("-" if closed & m else "") for p, m in cols]
         for signs in itertools.product(*allowed):
             out["".join(signs)].append(c)
     return out
@@ -512,8 +518,13 @@ def projective_decomposition(
     r -> r', for r in the support of a surviving column j and (r', j) in G,
     strongly connects the other rows: there the face's star is finite.
     """
+    return [c for _, c, _ in _decomposition(v, candidate_bound)[1]]
+
+
+def _decomposition(v: PointConfig, candidate_bound: int):
+    """The walk's arcs and the sorted (sort key, cell, closed graph's mask) of each cell."""
     arcs, torus = _cells(v, candidate_bound)
-    out = list(torus.values())
+    out = [(key, c, g) for g, (key, c) in torus.items()]
     supports = [v.column_support(j) for j in range(1, v.n + 1)]
     strata = {(): torus}
     for size in range(1, v.d):
@@ -521,20 +532,21 @@ def projective_decomposition(
             rows = [i for i in range(1, v.d + 1) if i not in k]
             cols = {j for j, s in enumerate(supports, start=1) if s.isdisjoint(k)}
             keep = sum(1 << b for b, (_, j) in enumerate(arcs) if j in cols)
+            k_arcs = sum(1 << b for b, (i, _) in enumerate(arcs) if i in k)  # in closed graphs
             if size == v.d - 1:  # one row left: a point, and every torus graph holds all of keep
-                out.append(_cell(v, _arcs_of(arcs, keep), 0, True, k))
+                out.append((*_cell(v, _arcs_of(arcs, keep), 0, True, k), keep | k_arcs))
                 continue
             strata[k] = {g & keep for g in strata[k[:-1]]}
             for mask in strata[k]:
                 g = _arcs_of(arcs, mask)
-                components = len(weak_components(v.d + v.n, [(i, v.d + j) for i, j in g]))
+                components = _merged(list(range(v.d + v.n)), v.d + v.n, arcs, v.d, mask)[1]
                 dimension = components - size - (v.n - len(cols)) - 1
                 bounded = len({i for i, _ in g}) == len(rows)  # else a row is reached by none
                 if bounded:
                     star = _star(v.d, {(r, i): 0 for i, j in g for r in supports[j - 1]})
                     bounded = all(star[r - 1][s - 1] is not None for r in rows for s in rows)
-                out.append(_cell(v, g, dimension, bounded, k))
-    return [c for _, c in sorted(out)]
+                out.append((*_cell(v, g, dimension, bounded, k), mask | k_arcs))
+    return arcs, sorted(out)
 
 
 def cell_boundary_restriction(

@@ -78,6 +78,12 @@ class BipartiteSupportGraph(_Record):
     n: int
     arcs: frozenset[tuple[int, int]]
 
+    def __init__(self, d: int, n: int, arcs: frozenset[tuple[int, int]]):  # cheaper than _Record's
+        set_d, set_n, set_arcs = self._setters
+        set_d(self, d)
+        set_n(self, n)
+        set_arcs(self, arcs)
+
     @classmethod
     def make(cls, d: int, n: int, arcs: Iterable[tuple[int, int]]) -> "BipartiteSupportGraph":
         d, n = _index(d, "a row count"), _index(n, "a column count")
@@ -272,27 +278,29 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 # enumeration of covector graphs
 
 
-def _walk(v: PointConfig, candidate_bound: int, cover=None):
-    """V's sorted support arcs, and the walk of ``enumerate_covector_graphs`` over them.
+def _walk(v: PointConfig, candidate_bound: int, cover=None, stop=False):
+    """V's sorted support arcs, the support's weak-component count, and the walk over the arcs.
 
-    The walk yields (mask, star, components) per graph G: bit b of ``mask``
-    is the arc ``arcs[b]`` (``_arcs_of`` reads them back for a record),
-    ``star`` is the scaled Kleene star of W#G and ``components`` the number
-    of weak components of G on all d+n nodes, isolated nodes included: each
-    pending graph keeps a component label per node, and a new closure merges
-    the labels along the arcs it adds.  Rather than hold more than
+    The walk yields (mask, star, labels, components) per graph G: bit b of ``mask`` is
+    the arc ``arcs[b]`` (``_arcs_of`` reads them back), ``star`` the scaled Kleene star of
+    W#G, and ``labels`` name G's ``components`` weak components on all d+n nodes, merged
+    along each closure's new arcs.  A graph with the support's count is a minimal face with
+    no nonempty child: its star is None and it is not grown.  Rather than hold more than
     ``candidate_bound`` graphs, found or pending, it raises.
 
     It yields the graphs with an arc of ``cover`` (default: every support arc)
     in each column.  A graph missing one grows only by those arcs in its
-    first such column, and otherwise by every support arc.  So each yielded H
-    is reached: a graph G inside H missing column j has H's cover arc a in
-    column j, and closure(G+a) lies in H; from a graph inside H with a cover
-    arc in every column, H is reached one arc at a time.
+    first such column, and otherwise, unless ``stop``, by every support arc.
+    So each yielded H is reached: a graph G inside H missing column j has H's
+    cover arc a in column j, and closure(G+a) lies in H; from a graph inside
+    H with a cover arc in every column, H is reached one arc at a time; with
+    ``stop``, an inclusion-minimal H is still reached, through graphs missing a column.
     """
     bound = _index(candidate_bound, "a candidate bound")
     arcs = sorted(_instance(v, PointConfig).support().arcs)
-    return arcs, _climb(v, bound, arcs, set(arcs) if cover is None else cover)
+    minimal = _merged(list(range(v.d + v.n)), v.d + v.n, arcs, v.d, (1 << len(arcs)) - 1)[1]
+    cover = set(arcs) if cover is None else cover
+    return arcs, minimal, _climb(v, bound, arcs, cover, minimal, stop)
 
 
 def _arcs_of(arcs: list[tuple[int, int]], mask: int) -> list[tuple[int, int]]:
@@ -300,7 +308,19 @@ def _arcs_of(arcs: list[tuple[int, int]], mask: int) -> list[tuple[int, int]]:
     return [a for a, bit in zip(arcs, bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _climb(v: PointConfig, candidate_bound: int, arcs: list[tuple[int, int]], cover):
+def _merged(labels: list[int], count: int, arcs: list[tuple[int, int]], d: int, mask: int):
+    """Labels per node (row i is i-1, column j is d+j-1) and their count after ``mask``'s arcs."""
+    while mask:
+        low = mask & -mask
+        i, j = arcs[low.bit_length() - 1]
+        mask ^= low
+        if (x := labels[i - 1]) != (y := labels[d + j - 1]):
+            labels = [x if z == y else z for z in labels]
+            count -= 1
+    return labels, count
+
+
+def _climb(v: PointConfig, candidate_bound: int, arcs, cover, minimal: int, stop: bool):
     entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
     nodes = [(1 << b, i - 1, v.d + j - 1, entries[i, j]) for b, (i, j) in enumerate(arcs)]
     # per column: the arcs that may cover it, as nodes, and the mask of their bits
@@ -317,7 +337,9 @@ def _climb(v: PointConfig, candidate_bound: int, arcs: list[tuple[int, int]], co
         missing = next((col for m, col in grow if not g & m), None)
         if missing is None:
             found += 1
-            yield g, star, components
+            yield g, star, labels, components
+        if star is None or stop and missing is None:
+            continue  # a minimal face has no nonempty child, and ``stop`` grows no yielded graph
         rest = [x for x in nodes if not g & x[0]]
         for _, r, c, w in rest if missing is None else missing:
             if star[r][c] != w:
@@ -340,12 +362,9 @@ def _climb(v: PointConfig, candidate_bound: int, arcs: list[tuple[int, int]], co
                         f" {found} found, {len(stack)} pending"
                     )
                 seen.add(closed)
-                merged, count = list(labels), components
-                for bit, rb, cb, _ in rest:
-                    if closed & bit and (x := merged[rb]) != (y := merged[cb]):
-                        merged = [x if z == y else z for z in merged]
-                        count -= 1
-                stack.append((closed, _tighten(star, r, c, w), merged, count))
+                merged, count = _merged(labels, components, arcs, v.d, closed & ~g)
+                child = None if count == minimal else _tighten(star, r, c, w)
+                stack.append((closed, child, merged, count))
 
 
 def enumerate_covector_graphs(
@@ -359,8 +378,8 @@ def enumerate_covector_graphs(
     a nonempty face iff S[i][d+j] == v_ij; ``_walk`` says why every graph
     covering all columns is reached.
     """
-    arcs, walk = _walk(v, candidate_bound)
-    graphs = sorted((_arcs_of(arcs, g) for g, _, _ in walk), key=lambda g: (len(g), g))
+    arcs, _, walk = _walk(v, candidate_bound)
+    graphs = sorted((_arcs_of(arcs, g) for g, _, _, _ in walk), key=lambda g: (len(g), g))
     return [BipartiteSupportGraph(v.d, v.n, frozenset(g)) for g in graphs]
 
 
@@ -387,7 +406,6 @@ def regular_subdivision(
     as many weak components as the support.  The cell conv{e_i (+) e_j :
     (i,j) in G} then has dimension d + n - (weak components of G) - 1.
     """
-    arcs, walk = _walk(v, candidate_bound)
-    minimal = v.support().weak_component_count()
-    graphs = sorted(_arcs_of(arcs, g) for g, _, components in walk if components == minimal)
+    arcs, minimal, walk = _walk(v, candidate_bound)
+    graphs = sorted(_arcs_of(arcs, g) for g, _, _, components in walk if components == minimal)
     return [SubdivisionCell(frozenset(g), v.d + v.n - minimal - 1) for g in graphs]

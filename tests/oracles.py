@@ -11,9 +11,10 @@ by fresh Bellman-Ford rounds and pairwise unions, cell boundedness via
 the projection matrix of the face, tropical determinants and genericity
 via all permutations of every square submatrix, the cells of the
 boundary strata via relabelled sub-configurations, signed cells by one
-flipped selection per sign vector, and the cells of a halfspace system by
-filtering every torus cell.  Only names that ``wdpoly``
-exports are used, so no oracle shares a private helper with the library.
+flipped selection per sign vector, the cells of a halfspace system by
+filtering every torus cell, and pureness from every cell of the system.
+Only names that ``wdpoly`` exports are used, so no oracle shares a
+private helper with the library.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ from wdpoly import (
     TVal,
     WeightedDigraph,
     boundary_matrix,
+    cells_of_halfspace,
     enumerate_cells,
     envelope_digraph,
     face,
     face_projection_matrix,
     kleene_star,
+    maximal_cells,
     projective_decomposition,
     signed_graph,
     tmul,
@@ -364,6 +367,23 @@ def cells_of_halfspace_by_filter(h: HalfspaceSystem) -> list[CellRecord]:
         for c in enumerate_cells(h.config)
         if len({j for _, j in c.graph.arcs & h.psi.arcs}) == h.config.n
     ]
+
+
+# ---------------------------------------------------------------------------
+# pureness from every cell of a halfspace system
+
+
+def pure_by_maximal_cells(h: HalfspaceSystem):
+    """``is_pure`` by ``maximal_cells`` over every cell of the system.
+
+    The verdict is False with the first maximal cell and the first later one
+    of another dimension, else True with no witness.
+    """
+    tops = maximal_cells(cells_of_halfspace(h))
+    for b in tops[1:]:
+        if b.dimension != tops[0].dimension:
+            return False, (tops[0], b)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

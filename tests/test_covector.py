@@ -65,6 +65,7 @@ from oracles import (
     lower_hull_cells,
     membership_against,
     projective_decomposition_by_subconfigs,
+    pure_by_maximal_cells,
     random_config,
     residuation_member,
     signed_cells_by_signs,
@@ -438,13 +439,14 @@ def test_cell_boundary_restriction_golden():
 def test_candidate_bound_caps_the_graphs_a_walk_holds():
     v = PointConfig.make([[0, 1], [1, 0]])
     h = HalfspaceSystem.make(v, G(2, 2, [(1, 1), (1, 2)]))
-    # graphs held, found or pending: 8 by the torus walk, 4 by the walk inside psi
+    # graphs held, found or pending: 8 by the torus walk, 4 by the walk inside psi, and 3
+    # when is_pure stops it at the cell {(1,1),(1,2)} instead of growing it by (2,2)
     for enumerate_with, holds in (
         (lambda bound: enumerate_cells(v, candidate_bound=bound), 8),
         (lambda bound: regular_subdivision(v, candidate_bound=bound), 8),
         (lambda bound: projective_decomposition(v, candidate_bound=bound), 8),
         (lambda bound: signed_cells(h, candidate_bound=bound), 8),
-        (lambda bound: is_pure(h, candidate_bound=bound), 4),
+        (lambda bound: is_pure(h, candidate_bound=bound), 3),
         (lambda bound: cells_of_halfspace(h, candidate_bound=bound), 4),
     ):
         with pytest.raises(CapabilityError):
@@ -864,6 +866,21 @@ def test_cells_of_halfspace_match_the_filter_oracle(h):
     else:
         a, b = witness
         assert a in tops and b in tops and a.dimension != b.dimension
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_systems())
+@example(_EMPTY)
+@example(_NOT_PROPER)
+@example(_IMPURE)
+def test_is_pure_stops_at_the_maximal_cells_of_every_cell(h):
+    # the walk stops at each cell with a psi-arc in every column, yet gives the verdict
+    # and the witness records that maximal_cells gives over all of the system's cells
+    ok, witness = is_pure(h)
+    expect_ok, expect_witness = pure_by_maximal_cells(h)
+    assert ok == expect_ok
+    assert witness == expect_witness
+    assert repr(witness) == repr(expect_witness)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wdpoly import (
@@ -261,8 +261,18 @@ def _check_walk_against_oracles(v, picks):
         )
 
 
+# a minimal face's bounded flag reads whether its rows share one component label:
+# never when the support has two blocks or an all-INF row, always when d = 1
+_TWO_BLOCKS = PointConfig.make([[0, 1, INF], [1, 0, INF], [INF, INF, 0]])
+_INF_ROW = PointConfig.make([[0, 1], [INF, INF], [2, 0]])
+_ONE_ROW = PointConfig.make([[0, Fraction(1, 3), 2]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(_config_and_selections())
+@example((_TWO_BLOCKS, [{(1, 1), (2, 2)}, {(3, 3)}, set()]))
+@example((_INF_ROW, [{(1, 1), (3, 2)}, {(1, 2), (3, 1)}]))
+@example((_ONE_ROW, [{(1, 1)}, {(1, 1), (1, 2), (1, 3)}]))
 def test_walk_matches_the_union_saturation_oracle(case):
     _check_walk_against_oracles(*case)
 
