@@ -261,7 +261,8 @@ def cell_sample_point(v: PointConfig, cell: CellRecord) -> tuple[TVal, ...]:
 
     The interior point of G's face in V's envelope with the stratum's rows
     set to infinity: those rows and the columns that meet them carry no
-    arc of G, so they do not constrain the other rows.
+    arc of G, so they do not constrain the other rows.  ``EmptyCellError`` if
+    the graph's face is empty.
     """
     y, _ = interior_point_of_face(v, _instance(cell, CellRecord).graph)
     return tuple(INF if i in cell.stratum else x for i, x in enumerate(y, start=1))

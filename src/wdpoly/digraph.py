@@ -108,6 +108,7 @@ class NodePartition(_Record):
         return cls(k, tuple(normalized))
 
     def block_of(self, i: int) -> tuple[int, ...]:
+        i = _index(i, "a node")
         for b in self.blocks:
             if i in b:
                 return b
@@ -407,8 +408,11 @@ def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
     of the columns is then tight precisely on the zero-cycle arcs.  A cycle
     through a big-M arc outweighs its other arcs, so it is never negative.
     """
-    k = _instance(w, WeightedDigraph).k
-    scale, arcs = _scaled(w.arcs)
+    return _completed_point(_instance(w, WeightedDigraph).k, *_scaled(w.arcs))
+
+
+def _completed_point(k: int, scale: int, arcs: Mapping) -> tuple[Fraction, ...]:
+    """``interior_point`` of the digraph whose weights times ``scale`` are the ints ``arcs``."""
     big = (k + 1) * (max(map(abs, arcs.values()), default=0) + scale)
     filled = {(i, j): big for i in range(1, k + 1) for j in range(1, k + 1) if i != j}
     filled.update(arcs)

@@ -16,10 +16,9 @@ from typing import Iterable
 
 from .digraph import (
     WeightedDigraph,
+    _completed_point,
     _scaled,
     _star,
-    face,
-    interior_point,
     weak_components,
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, InfeasibleError, ShapeError
@@ -123,11 +122,12 @@ class BipartiteSupportGraph(_Record):
         A row is ``-`` when it has no arc and ``•`` when it is in the
         stratum of rows sent to infinity.
         """
+        marked = frozenset(_index(i, "a row") for i in _iterable(stratum, "a stratum"))
         parts = []
         wide = self.n > 9
         for i in range(1, self.d + 1):
             cols = self.row_neighbors(i)
-            if i in stratum:
+            if i in marked:
                 parts.append("•")
             elif not cols:
                 parts.append("-")
@@ -160,16 +160,25 @@ def envelope_digraph(v: PointConfig) -> WeightedDigraph:
     return WeightedDigraph(v.d + v.n, arcs)
 
 
-def _face_digraph(v: PointConfig, g: BipartiteSupportGraph) -> WeightedDigraph:
-    return face(envelope_digraph(v), {(i, v.d + j) for (i, j) in g.arcs})
+def _on_face(v: PointConfig, g: BipartiteSupportGraph, solve):
+    """``solve(k, L, arcs)`` on the face digraph W#G, with the nodes of ``envelope_digraph``.
 
-
-def _validate_subgraph(v: PointConfig, g: BipartiteSupportGraph) -> None:
+    The int ``arcs`` are V's entries times L, reversed for G's arcs, and G
+    must be a subgraph of V's support.  An ``InfeasibleError`` of ``solve``
+    says that the face is empty and becomes an ``EmptyCellError``.
+    """
     if (_instance(g, BipartiteSupportGraph).d, g.n) != (_instance(v, PointConfig).d, v.n):
         raise ShapeError("graph shape does not match the configuration")
-    if not g.arcs <= v.support().arcs:
-        extra = sorted(g.arcs - v.support().arcs)
-        raise DomainError(f"arcs {extra} are not in the support of V")
+    support = v.support().arcs
+    if not g.arcs <= support:
+        raise DomainError(f"arcs {sorted(g.arcs - support)} are not in the support of V")
+    scale, entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in sorted(support)})
+    arcs = {(i, v.d + j): w for (i, j), w in entries.items()}
+    arcs.update({(v.d + j, i): -entries[i, j] for i, j in g.arcs})
+    try:
+        return solve(v.d + v.n, scale, arcs)
+    except InfeasibleError as exc:
+        raise EmptyCellError(f"face is empty: negative cycle {exc.cycle}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +210,22 @@ def _tighten(star: list[list], r: int, c: int, w: int) -> list[list]:
     return out
 
 
-def _closure(v: PointConfig, arcs: Iterable[tuple[int, int]]) -> frozenset:
-    """Support arcs on a zero-weight cycle of the face digraph W#G.
-
-    ``_star`` raises ``InfeasibleError`` if the face is empty.
-    """
-    entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in sorted(v.support().arcs)})[1]
-    face_arcs = {(i, v.d + j): w for (i, j), w in entries.items()}
-    face_arcs.update({(v.d + j, i): -entries[(i, j)] for i, j in arcs})
-    star = _star(v.d + v.n, face_arcs)
-    return frozenset((i, j) for (i, j), w in entries.items() if star[v.d + j - 1][i - 1] == -w)
-
-
 def covector_closure(v: PointConfig, g: BipartiteSupportGraph) -> CovectorGraph:
     """Smallest covector graph containing G.
 
     Adds every support arc lying on a zero-weight cycle of the face
-    digraph; fails if the face is empty.
+    digraph; raises ``EmptyCellError`` if the face is empty.
     """
-    _validate_subgraph(v, g)
-    try:
-        closed = _closure(v, g.arcs)
-    except InfeasibleError as exc:
-        raise EmptyCellError(f"face is empty: negative cycle {exc.cycle}") from None
-    return BipartiteSupportGraph(v.d, v.n, closed)
+    arcs, star = _on_face(v, g, lambda k, _, arcs: (arcs, _star(k, arcs)))
+    closed = ((r, c - v.d) for (r, c), w in arcs.items() if r <= v.d and star[c - 1][r - 1] == -w)
+    return BipartiteSupportGraph(v.d, v.n, frozenset(closed))
 
 
 def is_covector_graph(v: PointConfig, g: BipartiteSupportGraph) -> bool:
     """Whether G labels a nonempty face: feasible and closed under zero cycles."""
-    _validate_subgraph(v, g)
     try:
-        return _closure(v, g.arcs) == g.arcs
-    except InfeasibleError:
+        return covector_closure(v, g).arcs == g.arcs
+    except EmptyCellError:
         return False
 
 
@@ -251,10 +244,8 @@ def cell_dimension(v: PointConfig, g: CovectorGraph) -> int:
 def interior_point_of_face(
     v: PointConfig, g: BipartiteSupportGraph
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """A point (y, z) of the envelope whose tight arcs are exactly closure(G)."""
-    _validate_subgraph(v, g)
-    wg = _face_digraph(v, g)
-    pt = interior_point(wg)
+    """``interior_point`` of W#G: tight exactly on closure(G); ``EmptyCellError`` if it is empty."""
+    pt = _on_face(v, g, _completed_point)
     return pt[: v.d], pt[v.d :]
 
 

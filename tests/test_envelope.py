@@ -10,16 +10,21 @@ from hypothesis import strategies as st
 from wdpoly import (
     INF,
     BipartiteSupportGraph,
+    CellRecord,
     DomainError,
     EmptyCellError,
+    InfeasibleError,
     PointConfig,
     TropicalMatrix,
+    ValueTypeError,
     cell_dimension,
+    cell_sample_point,
     covector_closure,
     envelope_digraph,
     enumerate_cells,
     enumerate_covector_graphs,
     face_projection_matrix,
+    interior_point,
     interior_point_of_face,
     is_covector_graph,
     is_generic,
@@ -32,6 +37,7 @@ from oracles import (
     bounded_by_projection,
     covector_closure_by_rounds,
     enumerate_covector_graphs_by_unions,
+    face_digraph,
     lower_hull_cells,
     random_config,
 )
@@ -67,6 +73,21 @@ def test_support_graph_validation_and_views():
     assert g.tuple_string() == "(1,13)"
     with pytest.raises(DomainError):
         G(2, 3, [(3, 1)])
+
+
+def test_tuple_string_reads_a_generator_stratum_once():
+    g = G(3, 3, [(1, 1), (2, 2)])
+    assert g.tuple_string(i for i in (1, 3)) == "(•,2,•)"
+
+
+def test_tuple_string_rejects_an_int_stratum():
+    with pytest.raises(ValueTypeError):
+        G(3, 3, [(1, 1), (2, 2)]).tuple_string(1)
+
+
+def test_tuple_string_rejects_a_float_row():
+    with pytest.raises(ValueTypeError):
+        G(3, 3, [(1, 1), (2, 2)]).tuple_string([1.0])
 
 
 def test_weak_component_count_includes_isolated_nodes():
@@ -291,6 +312,34 @@ def test_walk_matches_the_union_saturation_oracle_on_rationals(case):
         ok, tight = membership(envelope_digraph(v), tuple(y) + tuple(z))
         assert ok
         assert tight == {(i, v.d + j) for (i, j) in closed}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_config_and_selections(), _config_and_selections(den=3)))
+def test_interior_point_of_face_is_the_interior_point_of_the_face_digraph(case):
+    """The same Fractions as ``interior_point`` on W#G, on graphs closed or not;
+    for an empty face that raises ``InfeasibleError`` and this ``EmptyCellError``."""
+    v, picks = case
+    closures = [_closure_or_empty(covector_closure_by_rounds, v, arcs) for arcs in picks]
+    for arcs in picks + [c for c in closures if c is not None]:
+        g = BipartiteSupportGraph(v.d, v.n, frozenset(arcs))
+        try:
+            pt = interior_point(face_digraph(v, g))
+        except InfeasibleError:
+            with pytest.raises(EmptyCellError):
+                interior_point_of_face(v, g)
+            continue
+        want = (pt[: v.d], pt[v.d :])
+        got = interior_point_of_face(v, g)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+def test_a_sample_point_of_an_empty_face_raises_empty_cell_error():
+    v = PointConfig.make([[0, 0], [0, 1]])
+    cell = CellRecord(G(2, 2, [(1, 1), (2, 2)]), 0, False, False, frozenset())
+    with pytest.raises(EmptyCellError):
+        cell_sample_point(v, cell)
 
 
 def test_generic_iff_the_subdivision_is_a_triangulation():

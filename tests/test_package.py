@@ -21,6 +21,7 @@ from wdpoly import (
     Sector,
     SignVector,
     TropicalError,
+    ValueTypeError,
     WeightedDigraph,
     cone_face_lattice,
     enumerate_cells,
@@ -119,11 +120,14 @@ METHODS = {
 } - {"TropicalMatrix.make", "PointConfig.make"}
 
 
-@pytest.mark.parametrize("name", sorted(METHODS | {
+ENTRY_POINTS = sorted(METHODS | {
     name for name in set(wdpoly.__all__) - UNCHECKED
     if inspect.isfunction(obj := getattr(wdpoly, name))
     or isinstance(obj, type) and "__post_init__" in vars(obj)
-}))
+})
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_a_list_in_any_required_slot_raises_a_tropical_error(name):
     """Every public function and record method, and every record that checks its fields,
     meets the input contract."""
@@ -133,6 +137,18 @@ def test_a_list_in_any_required_slot_raises_a_tropical_error(name):
     for i in range(len(args)):
         with pytest.raises(TropicalError):
             fn(*args[:i], [[0]], *args[i + 1:])
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_float_or_a_bool_in_any_int_slot_raises_a_value_type_error(name):
+    """Floats are rejected everywhere, and a bool is no index."""
+    fn = _entry(name)
+    kinds = _required(fn)
+    args = [SAMPLES[a] for a in kinds]
+    for i in (i for i, kind in enumerate(kinds) if kind == "int"):
+        for bad in (1.0, True):
+            with pytest.raises(ValueTypeError):
+                fn(*args[:i], bad, *args[i + 1:])
 
 
 def _fresh_python(code, *args):
