@@ -559,6 +559,7 @@ def cell_boundary_restriction(
     survive on the stratum; labels stay original.
     """
     lab = boundary_matrix(v, z)
-    arcs = _instance(g, BipartiteSupportGraph).arcs
-    kept = frozenset((i, j) for (i, j) in arcs if i in lab.row_labels and j in lab.col_labels)
+    if (_instance(g, BipartiteSupportGraph).d, g.n) != (v.d, v.n):
+        raise ShapeError("graph shape does not match the configuration")
+    kept = frozenset((i, j) for (i, j) in g.arcs if i in lab.row_labels and j in lab.col_labels)
     return BipartiteSupportGraph(v.d, v.n, kept)

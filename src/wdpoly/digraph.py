@@ -116,8 +116,10 @@ class NodePartition(_Record):
 
     def refines(self, other: "NodePartition") -> bool:
         """True if every block of self lies inside a block of other."""
+        if _instance(other, NodePartition).k != self.k:
+            raise ShapeError("refinement needs partitions of the same node count")
         lookup = {}
-        for idx, b in enumerate(_instance(other, NodePartition).blocks):
+        for idx, b in enumerate(other.blocks):
             for i in b:
                 lookup[i] = idx
         return all(len({lookup[i] for i in b}) == 1 for b in self.blocks)
@@ -430,42 +432,56 @@ class RecessionDecomposition(_Record):
     ray_generators: tuple[tuple[int, ...], ...]
 
 
-def _chi(k: int, nodes: Iterable[int]) -> tuple[int, ...]:
-    s = set(nodes)
-    return tuple(1 if v in s else 0 for v in range(1, k + 1))
+def _chi(k: int, mask: int) -> tuple[int, ...]:
+    return tuple(mask >> v & 1 for v in range(1, k + 1))
+
+
+def _flood(seed: int, adj: list[int], within: int) -> int:
+    """The nodes that the mask ``seed`` reaches along the masks ``adj``, staying in ``within``."""
+    reached = frontier = seed
+    while frontier:
+        new = adj[(frontier & -frontier).bit_length() - 1] & within & ~reached
+        frontier = frontier & frontier - 1 | new
+        reached |= new
+    return reached
 
 
 def recession(w: WeightedDigraph) -> RecessionDecomposition:
     """Lineality and minimal ray generators of the recession cone of Q(W).
 
     The recession cone is the digraph cone of the unweighted arc set: the
-    lineality space is spanned by the weak components, and the rays are
-    the characteristic vectors chi(K) for K inducing a connected subgraph
-    whose complement within its weak component is connected, with every
-    cut arc directed into K.
+    lineality space is spanned by the weak components C, and the rays are
+    the chi(K) for K in C, {} != K != C, with no arc leaving K and with K
+    and C - K connected.  A walk lists them with polynomial work per ray:
+    from a ray U (at first {}), each y of C - U with an arc into U (at first
+    any y) gives U' = U + all y reaches, and C - Q is a ray for each weak
+    component Q of C - U'.  The README shows that it reaches every ray.
     """
-    arcs = list(_instance(w, WeightedDigraph).arcs)
-    comps = weak_components(w.k, arcs)
-    lineality = tuple(_chi(w.k, c) for c in comps)
-    rays = []
+    k = _instance(w, WeightedDigraph).k
+    comps = weak_components(k, w.arcs)
+    succ, nbr = [0] * (k + 1), [0] * (k + 1)
+    for i, j in w.arcs:
+        succ[i] |= 1 << j
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    desc = [_flood(1 << x, succ, -1) for x in range(k + 1)]
+    rays: set[int] = set()
     for comp in comps:
-        cset = set(comp)
-        members = list(comp)
-        m = len(members)
-        for bits in range(1, (1 << m) - 1):
-            kset = frozenset(members[t] for t in range(m) if bits >> t & 1)
-            rest = frozenset(cset - kset)
-            if not _induced_connected(kset, arcs):
-                continue
-            if not _induced_connected(rest, arcs):
-                continue
-            cut_ok = all(
-                not (i in kset and j in rest)
-                for (i, j) in arcs
-            )
-            if cut_ok:
-                rays.append(_chi(w.k, kset))
-    return RecessionDecomposition(lineality, tuple(sorted(rays)))
+        whole, stack = sum(1 << v for v in comp), [0]
+        while stack:
+            u = stack.pop()
+            for y in comp:
+                if u >> y & 1 or u and not succ[y] & u:
+                    continue
+                rest = whole & ~(u | desc[y])
+                while rest:
+                    q = _flood(rest & -rest, nbr, rest)
+                    rest &= ~q
+                    if (ray := whole & ~q) not in rays:
+                        rays.add(ray)
+                        stack.append(ray)
+    lineality = tuple(_chi(k, sum(1 << v for v in c)) for c in comps)
+    return RecessionDecomposition(lineality, tuple(sorted(_chi(k, r) for r in rays)))
 
 
 class ConeFaceLattice(_Record):
@@ -482,7 +498,9 @@ class ConeFaceLattice(_Record):
     top: NodePartition
 
     def face_dimension(self, p: NodePartition) -> int:
-        return len(_instance(p, NodePartition).blocks)
+        if _instance(p, NodePartition).k != self.k:
+            raise ShapeError("partition node count does not match the lattice")
+        return len(p.blocks)
 
 
 def _set_partitions(k: int):

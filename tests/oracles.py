@@ -2,9 +2,11 @@
 
 Each oracle computes its answer by a different route than the library:
 shortest paths via the matrix power formula, feasibility via exhaustive
-simple-cycle enumeration and via Bellman-Ford, subdivisions via the
-lifted lower hull and their cell dimensions via the nontrivial
-components, cone membership via residuation, halfspace membership by comparing sector maxima, closed
+simple-cycle enumeration and via Bellman-Ford, recession rays by trying
+every proper subset of each weak component (the library walks from ray
+to ray), subdivisions via the lifted lower hull and their cell
+dimensions via the nontrivial components, cone membership via
+residuation, halfspace membership by comparing sector maxima, closed
 sectors by the stratum rule and the sector inequalities, connectivity
 and strong components via networkx, covector closures and enumeration
 by fresh Bellman-Ford rounds and pairwise unions, cell boundedness via
@@ -36,6 +38,7 @@ from wdpoly import (
     HalfspaceSystem,
     PointConfig,
     ProjectivePoint,
+    RecessionDecomposition,
     ShapeError,
     SignVector,
     TropicalMatrix,
@@ -165,6 +168,34 @@ def all_partitions(items):
         for t, block in enumerate(smaller):
             yield smaller[:t] + [[first] + block] + smaller[t + 1 :]
         yield [[first]] + smaller
+
+
+# ---------------------------------------------------------------------------
+# recession rays over every subset of each weak component
+
+
+def rays_by_subsets(w: WeightedDigraph) -> RecessionDecomposition:
+    """Lineality and rays of the recession cone of Q(W), trying all 2^|C| - 2 subsets.
+
+    chi(K) is a ray for a nonempty K inside a weak component C, K != C,
+    when no arc leaves K and both K and C - K induce connected subgraphs.
+    """
+    und = nx_digraph(w).to_undirected()
+    comps = sorted(sorted(c) for c in nx.connected_components(und))
+
+    def chi(nodes):
+        return tuple(int(v in nodes) for v in range(1, w.k + 1))
+
+    rays = []
+    for comp in comps:
+        for size in range(1, len(comp)):
+            for kset in map(set, itertools.combinations(comp, size)):
+                rest = set(comp) - kset
+                if any(i in kset and j in rest for i, j in w.arcs):
+                    continue
+                if nx.is_connected(und.subgraph(kset)) and nx.is_connected(und.subgraph(rest)):
+                    rays.append(chi(kset))
+    return RecessionDecomposition(tuple(chi(set(c)) for c in comps), tuple(sorted(rays)))
 
 
 # ---------------------------------------------------------------------------

@@ -774,6 +774,12 @@ def test_cell_and_point_entry_points_check_their_objects(take):
         take()
 
 
+def test_cell_boundary_restriction_refuses_a_graph_of_another_shape():
+    # like the other single-face queries
+    with pytest.raises(ShapeError):
+        cell_boundary_restriction(_V2, G(3, 3, []), [1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.integers(), st.none(), st.floats(), st.just(INF), st.text(max_size=3)))
 def test_non_iterables_and_bare_strings_give_a_tropical_error(x):

@@ -14,6 +14,7 @@ from wdpoly import (
     InconsistentFaceError,
     InfeasibleError,
     NodePartition,
+    ShapeError,
     TropicalMatrix,
     ValueTypeError,
     WeightedDigraph,
@@ -40,6 +41,7 @@ from oracles import (
     nx_digraph,
     nx_partition_qualifies,
     random_digraph,
+    rays_by_subsets,
 )
 
 M = TropicalMatrix.make
@@ -251,6 +253,12 @@ def test_recession_of_a_directed_path():
     rec = recession(w)
     assert rec.lineality_generators == ((1, 1, 1),)
     assert set(rec.ray_generators) == {(0, 0, 1), (0, 1, 1)}
+    # the rays of a path 1 -> ... -> k are the suffixes {s..k}; listing them must not try
+    # all 2^40 - 2 subsets
+    rec = recession(WeightedDigraph.make(40, {(i, i + 1): 0 for i in range(1, 40)}))
+    assert rec.lineality_generators == ((1,) * 40,)
+    assert rec.ray_generators == tuple(
+        sorted(tuple(int(v >= s) for v in range(1, 41)) for s in range(2, 41)))
 
 
 def test_recession_of_a_cycle_is_lineality_only():
@@ -260,6 +268,95 @@ def test_recession_of_a_cycle_is_lineality_only():
     assert rec.ray_generators == ()
 
 
+def test_recession_pinned_examples():
+    def rays(k, arcs):
+        rec = recession(WeightedDigraph.make(k, dict.fromkeys(arcs, 0)))
+        return rec.lineality_generators, rec.ray_generators
+
+    # in-star, leaves -> hub: one ray per leaf, everything but that leaf
+    assert rays(4, [(2, 1), (3, 1), (4, 1)]) == (
+        ((1, 1, 1, 1),), ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)))
+    # out-star, hub -> leaves: one ray per leaf, the leaf alone
+    assert rays(4, [(1, 2), (1, 3), (1, 4)]) == (
+        ((1, 1, 1, 1),), ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)))
+    # alternating path 1 -> 2 <- 3 -> 4: cutting one arc, the ray is its head's side
+    assert rays(4, [(1, 2), (3, 2), (3, 4)]) == (
+        ((1, 1, 1, 1),), ((0, 0, 0, 1), (0, 1, 1, 1), (1, 1, 0, 0)))
+    # a loop plays no part: a loop alone is lineality only, and beside an arc it changes nothing
+    assert rays(1, [(1, 1)]) == (((1,),), ())
+    assert rays(2, [(1, 1), (1, 2)]) == rays(2, [(1, 2)]) == (((1, 1),), ((0, 1),))
+    # an isolated node is its own lineality generator and carries no ray
+    assert rays(3, [(1, 2)]) == (((1, 1, 0), (0, 0, 1)), ((0, 1, 0),))
+    # k = 1
+    assert rays(1, []) == (((1,),), ())
+    # a diamond 1 -> 2 -> 4, 1 -> 3 -> 4: the ray {2, 3, 4} is two steps from {} (via {2, 4} or
+    # {3, 4}), because no node of it reaches both heads 2 and 3 of the cut arcs
+    assert rays(4, [(1, 2), (1, 3), (2, 4), (3, 4)]) == (
+        ((1, 1, 1, 1),), ((0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1)))
+    # two weak components with rays in both: an arc 1 -> 2 and an in-star 3 -> 4 <- 5
+    assert rays(5, [(1, 2), (3, 4), (5, 4)]) == (
+        ((1, 1, 0, 0, 0), (0, 0, 1, 1, 1)),
+        ((0, 0, 0, 1, 1), (0, 0, 1, 1, 0), (0, 1, 0, 0, 0)),
+    )
+
+
+def test_recession_matches_the_subset_oracle():
+    rng = random.Random(20)
+    digraphs = []
+    for _ in range(3000):
+        k, density = rng.randint(1, 9), rng.choice([0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.7])
+        cut = rng.randint(1, k) if rng.random() < 0.4 else k  # no arc crosses a cut below k
+        arcs = {
+            (i, j): rng.randint(-3, 3)
+            for i in range(1, k + 1)
+            for j in range(1, k + 1)
+            if (i <= cut) == (j <= cut) and rng.random() < density
+        }
+        digraphs.append(WeightedDigraph.make(k, arcs))
+    for k in range(1, 13):
+        for arcs in (
+            {(i, i + 1): 0 for i in range(1, k)},
+            {((i, i + 1) if i % 2 else (i + 1, i)): 0 for i in range(1, k)},
+            {(i, 1): 0 for i in range(2, k + 1)},
+            {(1, i): 0 for i in range(2, k + 1)},
+            {(i, i % k + 1): 0 for i in range(1, k + 1)},
+            {},
+        ):
+            digraphs.append(WeightedDigraph.make(k, arcs))
+    for w in digraphs:
+        rec, expect = recession(w), rays_by_subsets(w)
+        assert rec == expect and repr(rec) == repr(expect), w
+
+
+@st.composite
+def _split_digraphs(draw):
+    """k <= 7 nodes with loops; half the time no arc crosses a random cut."""
+    k = draw(st.integers(1, 7))
+    node = st.integers(1, k)
+    arcs = draw(st.dictionaries(st.tuples(node, node), st.integers(-2, 2), max_size=2 * k))
+    cut = draw(st.integers(1, k))
+    if draw(st.booleans()):
+        arcs = {(i, j): x for (i, j), x in arcs.items() if (i <= cut) == (j <= cut)}
+    return WeightedDigraph.make(k, arcs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_digraphs())
+def test_rays_split_one_block_of_the_minimal_face(w):
+    # the rays are the faces one block above the lineality space: splitting the weak
+    # component C that holds K into K and C - K gives a lattice element, and every element
+    # with one block more than the minimum arises so
+    lat = cone_face_lattice(w.zero_weights())
+    above = {p.blocks for p in lat.elements if len(p) == len(lat.minimum) + 1}
+    split = set()
+    for ray in recession(w).ray_generators:
+        kset = {v for v in range(1, w.k + 1) if ray[v - 1]}
+        comp = next(b for b in lat.minimum.blocks if kset <= set(b))
+        rest = [b for b in lat.minimum.blocks if b != comp]
+        split.add(NodePartition.make(w.k, rest + [kset, set(comp) - kset]).blocks)
+    assert split == above
+
+
 def test_node_partition_refinement():
     fine = NodePartition.make(4, [[1], [2], [3, 4]])
     coarse = NodePartition.make(4, [[1, 2], [3, 4]])
@@ -267,6 +364,10 @@ def test_node_partition_refinement():
     assert not coarse.refines(fine)
     with pytest.raises(DomainError):
         NodePartition.make(3, [[1, 2]])
+    with pytest.raises(ShapeError):
+        NodePartition.make(3, [[1, 2, 3]]).refines(NodePartition.make(2, [[1, 2]]))
+    with pytest.raises(ShapeError):
+        NodePartition.make(2, [[1, 2]]).refines(NodePartition.make(3, [[1, 2, 3]]))
 
 
 def test_cone_face_lattice_of_a_path():
@@ -282,6 +383,8 @@ def test_cone_face_lattice_of_a_path():
     assert lat.minimum.blocks == ((1, 2, 3),)
     assert lat.top.blocks == ((1,), (2,), (3,))
     assert lat.face_dimension(lat.top) == 3
+    with pytest.raises(ShapeError):
+        lat.face_dimension(NodePartition.make(5, [[1], [2], [3], [4], [5]]))
 
 
 def test_cone_face_lattice_of_a_cycle_is_a_point():
