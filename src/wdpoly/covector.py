@@ -227,7 +227,7 @@ def _cells(v: PointConfig, candidate_bound: int, cover=None, stop=False):
     the face's star, so it is bounded modulo translation iff that block is finite.
     A minimal face has no star: its X_G is a point iff its rows share a component.
     """
-    arcs, _, walk = _walk(v, candidate_bound, cover, stop)
+    arcs, walk = _walk(v, candidate_bound, cover, stop)
     d, cells = v.d, {}
     for g, star, labels, k in walk:
         bounded = all(None not in r[:d] for r in star[:d]) if star else len(set(labels[:d])) == 1

@@ -132,24 +132,34 @@ class NodePartition(_Record):
 # component helpers
 
 
+def _flood(seed: int, adj: list[int], within: int) -> int:
+    """The nodes that the mask ``seed`` reaches along the masks ``adj``, staying in ``within``."""
+    reached = frontier = seed
+    while frontier:
+        new = adj[(frontier & -frontier).bit_length() - 1] & within & ~reached
+        frontier = frontier & frontier - 1 | new
+        reached |= new
+    return reached
+
+
+def _parts(nbr: list[int], within: int):
+    """The weak components inside ``within`` of the neighbour masks ``nbr``, least node first."""
+    while within:
+        part = _flood(within & -within, nbr, within)
+        within &= ~part
+        yield part
+
+
 def weak_components(k: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """Weakly connected components, sorted by least element."""
-    parent = list(range(k + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    nbr = [0] * (k + 1)
     for i, j in arcs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    comps: dict[int, list[int]] = {}
-    for v in range(1, k + 1):
-        comps.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(c)) for c in comps.values())
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return [
+        tuple(v for v in range(1, k + 1) if comp >> v & 1)
+        for comp in _parts(nbr, (1 << k + 1) - 2)
+    ]
 
 
 def strong_components(k: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -414,11 +424,25 @@ def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
 
 
 def _completed_point(k: int, scale: int, arcs: Mapping) -> tuple[Fraction, ...]:
-    """``interior_point`` of the digraph whose weights times ``scale`` are the ints ``arcs``."""
+    """``interior_point`` of the digraph whose weights times ``scale`` are the ints ``arcs``.
+
+    The completion adds an arc of weight ``big`` wherever there is none.  A
+    shortest path takes at most one, since a second costs more than any
+    path saves, so the completed star is min(S[a][b], big + the least entry
+    of row a of S + the least of column b) for the star S of ``arcs`` alone.
+    """
     big = (k + 1) * (max(map(abs, arcs.values()), default=0) + scale)
-    filled = {(i, j): big for i in range(1, k + 1) for j in range(1, k + 1) if i != j}
-    filled.update(arcs)
-    return tuple(Fraction(sum(row), k * scale) for row in _star(k, filled))
+    star = _star(k, dict(sorted(arcs.items())))  # row by row: the arc order picks the cycle named
+    to = [min([x for x in col if x is not None]) for col in zip(*star)]
+    out = []
+    for row in star:
+        via = big + min([x for x in row if x is not None])
+        total = 0
+        for x, t in zip(row, to):
+            y = via + t  # the least path through one big-M arc
+            total += y if x is None or y < x else x
+        out.append(Fraction(total, k * scale))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -436,26 +460,12 @@ def _chi(k: int, mask: int) -> tuple[int, ...]:
     return tuple(mask >> v & 1 for v in range(1, k + 1))
 
 
-def _flood(seed: int, adj: list[int], within: int) -> int:
-    """The nodes that the mask ``seed`` reaches along the masks ``adj``, staying in ``within``."""
-    reached = frontier = seed
-    while frontier:
-        new = adj[(frontier & -frontier).bit_length() - 1] & within & ~reached
-        frontier = frontier & frontier - 1 | new
-        reached |= new
-    return reached
-
-
 def recession(w: WeightedDigraph) -> RecessionDecomposition:
     """Lineality and minimal ray generators of the recession cone of Q(W).
 
     The recession cone is the digraph cone of the unweighted arc set: the
     lineality space is spanned by the weak components C, and the rays are
-    the chi(K) for K in C, {} != K != C, with no arc leaving K and with K
-    and C - K connected.  A walk lists them with polynomial work per ray:
-    from a ray U (at first {}), each y of C - U with an arc into U (at first
-    any y) gives U' = U + all y reaches, and C - Q is a ray for each weak
-    component Q of C - U'.  The README shows that it reaches every ray.
+    the chi(K) that ``_rays`` lists in each C.
     """
     k = _instance(w, WeightedDigraph).k
     comps = weak_components(k, w.arcs)
@@ -464,24 +474,41 @@ def recession(w: WeightedDigraph) -> RecessionDecomposition:
         succ[i] |= 1 << j
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
-    desc = [_flood(1 << x, succ, -1) for x in range(k + 1)]
-    rays: set[int] = set()
-    for comp in comps:
-        whole, stack = sum(1 << v for v in comp), [0]
-        while stack:
-            u = stack.pop()
-            for y in comp:
-                if u >> y & 1 or u and not succ[y] & u:
-                    continue
-                rest = whole & ~(u | desc[y])
-                while rest:
-                    q = _flood(rest & -rest, nbr, rest)
-                    rest &= ~q
-                    if (ray := whole & ~q) not in rays:
-                        rays.add(ray)
-                        stack.append(ray)
+    rays = [r for comp in comps for r in _rays(sum(1 << v for v in comp), succ, nbr)]
     lineality = tuple(_chi(k, sum(1 << v for v in c)) for c in comps)
     return RecessionDecomposition(lineality, tuple(sorted(_chi(k, r) for r in rays)))
+
+
+def _rays(whole: int, succ: list[int], nbr: list[int]) -> set[int]:
+    """The rays of a digraph cone in its weak component ``whole``, as node masks K.
+
+    ``succ`` and ``nbr`` hold each node's successors and neighbours either
+    way.  K is a ray iff {} != K != C, no arc leaves K, and K and C - K are
+    connected.  A walk lists them with polynomial work per ray: from a ray
+    U (at first {}), each y of C - U with an arc into U (at first any y)
+    gives U' = U + all y reaches, and C - Q is a ray for each weak component
+    Q of C - U'.  The README shows that it reaches every ray, and that in a
+    tree (|C| - 1 arcs, loops aside) it reaches every ray from {}.
+    """
+    nodes = [y for y in range(whole.bit_length()) if whole >> y & 1]
+    desc = {y: _flood(1 << y, succ, whole) if succ[y] else 1 << y for y in nodes}
+    tree = sum((succ[y] & ~(1 << y)).bit_count() for y in nodes) < len(nodes)
+    rays: set[int] = set()
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for y in nodes:
+            if u >> y & 1 or u and not succ[y] & u:
+                continue
+            rest = whole & ~(u | desc[y])
+            while rest:
+                q = _flood(rest & -rest, nbr, rest) if rest & rest - 1 else rest
+                rest ^= q
+                if (ray := whole & ~q) not in rays:
+                    rays.add(ray)
+                    if not tree:
+                        stack.append(ray)
+    return rays
 
 
 class ConeFaceLattice(_Record):

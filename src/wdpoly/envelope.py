@@ -17,6 +17,8 @@ from typing import Iterable
 from .digraph import (
     WeightedDigraph,
     _completed_point,
+    _parts,
+    _rays,
     _scaled,
     _star,
     weak_components,
@@ -270,7 +272,7 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 
 
 def _walk(v: PointConfig, candidate_bound: int, cover=None, stop=False):
-    """V's sorted support arcs, the support's weak-component count, and the walk over the arcs.
+    """V's sorted support arcs and the walk over them.
 
     The walk yields (mask, star, labels, components) per graph G: bit b of ``mask`` is
     the arc ``arcs[b]`` (``_arcs_of`` reads them back), ``star`` the scaled Kleene star of
@@ -289,12 +291,11 @@ def _walk(v: PointConfig, candidate_bound: int, cover=None, stop=False):
     """
     bound = _index(candidate_bound, "a candidate bound")
     arcs = sorted(_instance(v, PointConfig).support().arcs)
-    minimal = _merged(list(range(v.d + v.n)), v.d + v.n, arcs, v.d, (1 << len(arcs)) - 1)[1]
     cover = set(arcs) if cover is None else cover
-    return arcs, minimal, _climb(v, bound, arcs, cover, minimal, stop)
+    return arcs, _climb(v, bound, arcs, cover, stop)
 
 
-def _arcs_of(arcs: list[tuple[int, int]], mask: int) -> list[tuple[int, int]]:
+def _arcs_of(arcs: list, mask: int) -> list:
     """The arcs whose bits are set in ``mask``: ``bin(mask)`` reversed lists bit 0 first."""
     return [a for a, bit in zip(arcs, bin(mask)[:1:-1]) if bit == "1"]
 
@@ -311,7 +312,8 @@ def _merged(labels: list[int], count: int, arcs: list[tuple[int, int]], d: int, 
     return labels, count
 
 
-def _climb(v: PointConfig, candidate_bound: int, arcs, cover, minimal: int, stop: bool):
+def _climb(v: PointConfig, candidate_bound: int, arcs, cover, stop: bool):
+    minimal = _merged(list(range(v.d + v.n)), v.d + v.n, arcs, v.d, (1 << len(arcs)) - 1)[1]
     entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
     nodes = [(1 << b, i - 1, v.d + j - 1, entries[i, j]) for b, (i, j) in enumerate(arcs)]
     # per column: the arcs that may cover it, as nodes, and the mask of their bits
@@ -369,7 +371,7 @@ def enumerate_covector_graphs(
     a nonempty face iff S[i][d+j] == v_ij; ``_walk`` says why every graph
     covering all columns is reached.
     """
-    arcs, _, walk = _walk(v, candidate_bound)
+    arcs, walk = _walk(v, candidate_bound)
     graphs = sorted((_arcs_of(arcs, g) for g, _, _, _ in walk), key=lambda g: (len(g), g))
     return [BipartiteSupportGraph(v.d, v.n, frozenset(g)) for g in graphs]
 
@@ -392,11 +394,120 @@ def regular_subdivision(
     """Maximal cells of the regular subdivision induced by the heights V.
 
     The maximal cells are exactly the inclusion-maximal covector graphs,
-    which label the minimal faces of the envelope.  A face is minimal iff
-    its dimension is that of the lineality space, i.e. iff its graph has
-    as many weak components as the support.  The cell conv{e_i (+) e_j :
-    (i,j) in G} then has dimension d + n - (weak components of G) - 1.
+    which label the minimal faces of the envelope: its vertices modulo the
+    lineality space, whose graphs have as many weak components as the
+    support.  ``_vertices`` walks from vertex to vertex.  The cell
+    conv{e_i (+) e_j : (i,j) in G} has dimension d + n - (weak components
+    of G) - 1.
     """
-    arcs, minimal, walk = _walk(v, candidate_bound)
-    graphs = sorted(_arcs_of(arcs, g) for g, _, _, components in walk if components == minimal)
-    return [SubdivisionCell(frozenset(g), v.d + v.n - minimal - 1) for g in graphs]
+    bound = _index(candidate_bound, "a candidate bound")
+    arcs = sorted(_instance(v, PointConfig).support().arcs)
+    components, vertices = _vertices(v, bound, arcs)
+    graphs = sorted(_arcs_of(arcs, g) for g in vertices)
+    return [SubdivisionCell(frozenset(g), v.d + v.n - components - 1) for g in graphs]
+
+
+def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
+    """The support's weak-component count and the tight graphs of the envelope's vertices.
+
+    A graph is a mask over ``arcs``, a point is a list of d+n scaled ints
+    (row i is y_i at i-1, column j is z_j at d+j-1), and the slack of the
+    arc (i, j) is v_ij - y_i + z_j.  The walk starts at y = 0 with every
+    z_j tight.  While the tight graph has more weak components than the
+    support, a support arc joins two of them, so it leaves one, B, from a
+    row of B; B is raised by the least slack of such arcs.  From a vertex
+    with tight graph G, each edge raises one ray B of G's digraph cone
+    (arcs row -> column, listed by ``_rays``) by the least slack t of an
+    arc leaving B; the next vertex keeps G's arcs that do not enter B and
+    adds the leaving arcs of slack t.  With no arc leaving B the edge is
+    unbounded.  Modulo lineality the envelope is pointed, and its vertices
+    and bounded edges form a connected graph, so every vertex is reached.
+    Rather than hold more than ``bound`` vertices, found or pending, it
+    raises.
+    """
+    d, k = v.d, v.d + v.n
+    entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
+    ends = [(i - 1, d + j - 1, entries[i, j]) for i, j in arcs]
+    # per node: its support neighbours, and the arcs leaving it (a row) or entering it (a column)
+    nbr, touch, least_in = [0] * k, [0] * k, {}
+    for b, (r, c, w) in enumerate(ends):
+        nbr[r] |= 1 << c
+        nbr[c] |= 1 << r
+        touch[r] |= 1 << b
+        touch[c] |= 1 << b
+        least_in[c] = min(least_in.get(c, w), w)
+    parts = [q for q in _parts(nbr, (1 << k) - 1) if q & q - 1]
+    components = k - sum(q.bit_count() - 1 for q in parts)
+
+    def crossing(q):
+        """The arcs leaving the node set q and the arcs entering it."""
+        out = into = 0
+        while q:
+            low = q & -q
+            q ^= low
+            if (x := low.bit_length() - 1) < d:
+                out |= touch[x]
+            else:
+                into |= touch[x]
+        return out & ~into, into & ~out
+
+    def least(p, mask):
+        """The least slack at p of the arcs in ``mask``, and the mask of those that attain it."""
+        t = None
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            r, c, w = ends[low.bit_length() - 1]
+            x = w - p[r] + p[c]
+            if t is None or x < t:
+                t, reached = x, low
+            elif x == t:
+                reached |= low
+        return t, reached
+
+    def masks(g):
+        """The successor and the neighbour mask of each node in the graph g."""
+        succ, nb = [0] * k, [0] * k
+        for r, c, _ in _arcs_of(ends, g):
+            succ[r] |= 1 << c
+            nb[r] |= 1 << c
+            nb[c] |= 1 << r
+        return succ, nb
+
+    p = [0] * d + [-least_in[c] for c in range(d, k)]
+    while True:
+        g = sum(1 << b for b, (r, c, w) in enumerate(ends) if w == p[r] - p[c])
+        for q in _parts(masks(g)[1], (1 << k) - 1):
+            if leave := crossing(q)[0]:
+                t = least(p, leave)[0]
+                p = [x + t if q >> a & 1 else x for a, x in enumerate(p)]
+                break
+        else:
+            break  # no support arc leaves a tight component: a vertex
+
+    seen, stack, found = set(), [], 0
+
+    def hold(g, p):
+        if len(seen) >= bound:
+            raise CapabilityError(
+                f"regular subdivision would hold more than {bound} vertices:"
+                f" {found} found, {len(stack)} pending"
+            )
+        seen.add(g)
+        stack.append((g, p))
+
+    hold(g, p)
+    while stack:
+        g, p = stack.pop()
+        found += 1
+        succ, nb = masks(g)
+        for q in parts:
+            for ray in _rays(q, succ, nb):
+                leave, enter = crossing(ray)
+                if not leave:
+                    continue  # an unbounded edge
+                t, reached = least(p, leave)
+                h = g & ~enter | reached
+                if h not in seen:
+                    hold(h, [x + t if ray >> a & 1 else x for a, x in enumerate(p)])
+    return components, seen

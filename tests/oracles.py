@@ -4,8 +4,11 @@ Each oracle computes its answer by a different route than the library:
 shortest paths via the matrix power formula, feasibility via exhaustive
 simple-cycle enumeration and via Bellman-Ford, recession rays by trying
 every proper subset of each weak component (the library walks from ray
-to ray), subdivisions via the lifted lower hull and their cell
-dimensions via the nontrivial components, cone membership via
+to ray), interior points by a dense big-M completion (the library
+completes the sparse star), subdivisions via the lifted lower hull and
+by filtering every torus covector graph (the library walks from vertex
+to vertex of the envelope) and their cell dimensions via the
+nontrivial components, cone membership via
 residuation, halfspace membership by comparing sector maxima, closed
 sectors by the stratum rule and the sector inequalities, connectivity
 and strong components via networkx, covector closures and enumeration
@@ -41,12 +44,14 @@ from wdpoly import (
     RecessionDecomposition,
     ShapeError,
     SignVector,
+    SubdivisionCell,
     TropicalMatrix,
     TVal,
     WeightedDigraph,
     boundary_matrix,
     cells_of_halfspace,
     enumerate_cells,
+    enumerate_covector_graphs,
     envelope_digraph,
     face,
     face_projection_matrix,
@@ -117,6 +122,20 @@ def bellman_ford_cycle(w: WeightedDigraph) -> list[int] | None:
     cycle.append(x)
     cycle.reverse()
     return cycle
+
+
+def interior_point_by_dense_completion(w: WeightedDigraph) -> tuple[Fraction, ...]:
+    """The row means of the Kleene star of W completed by big-M arcs on every missing pair.
+
+    big = (k + 1) * (the largest |w_ij| + 1).  Every off-diagonal pair gets
+    an arc, row by row, and W's arcs replace them, so a negative cycle is
+    named as the dense completion names it.
+    """
+    big = (w.k + 1) * (max(map(abs, w.arcs.values()), default=0) + 1)
+    filled = {(i, j): big for i in range(1, w.k + 1) for j in range(1, w.k + 1) if i != j}
+    filled.update(w.arcs)
+    star = kleene_star(WeightedDigraph.make(w.k, filled))
+    return tuple(sum(row) / w.k for row in star.entries)
 
 
 def kleene_by_powers(w: WeightedDigraph) -> TropicalMatrix:
@@ -256,6 +275,20 @@ def subdivision_dimension(g: BipartiteSupportGraph) -> int:
     comps = g.nontrivial_components()
     touched = sum(len(r) + len(c) for r, c in comps)
     return touched - len(comps) - 1
+
+
+def subdivision_by_covector_graphs(v: PointConfig) -> list[SubdivisionCell]:
+    """The maximal cells of the regular subdivision, filtered from every torus covector graph.
+
+    A covector graph labels a minimal face of the envelope iff it has as
+    many weak components as the support; its cell has dimension d + n -
+    (that count) - 1.  Every such graph covers every column.
+    """
+    count = v.support().weak_component_count()
+    graphs = sorted(
+        g.sorted_arcs() for g in enumerate_covector_graphs(v) if g.weak_component_count() == count
+    )
+    return [SubdivisionCell(frozenset(g), v.d + v.n - count - 1) for g in graphs]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from wdpoly.digraph import strong_components, weak_components
 from oracles import (
     all_partitions,
     bellman_ford_cycle,
+    interior_point_by_dense_completion,
     kleene_by_powers,
     min_cycle_weight,
     nx_digraph,
@@ -436,6 +437,47 @@ def test_component_helpers():
     arcs = [(1, 2), (2, 1), (3, 4)]
     assert weak_components(5, arcs) == [(1, 2), (3, 4), (5,)]
     assert strong_components(5, arcs) == [(1, 2), (3,), (4,), (5,)]
+
+
+def test_weak_components_match_networkx():
+    rng = random.Random(43)
+    for _ in range(300):
+        w = random_digraph(rng, rng.randint(1, 10), density=rng.choice([0.03, 0.1, 0.2, 0.4]))
+        expect = sorted(tuple(sorted(c)) for c in nx.weakly_connected_components(nx_digraph(w)))
+        assert weak_components(w.k, w.arcs) == expect
+
+
+def test_interior_point_matches_the_dense_completion():
+    # the sparse star, completed by at most one big-M arc per path, gives the dense
+    # completion's point, and for an empty Q(W) the same negative cycle
+    rng = random.Random(41)
+    # listed out of row order, where tied paths let the arc order pick the named cycle
+    pinned = [((4, 2), 0), ((3, 2), 2), ((1, 3), -1), ((3, 1), 1), ((2, 4), -1), ((1, 2), 1),
+              ((4, 1), -2), ((1, 1), 1), ((1, 4), 0)]
+    digraphs = [WeightedDigraph.make(4, pinned)]
+    for _ in range(1500):
+        k, density, hi = rng.randint(1, 8), rng.choice([0.1, 0.3, 0.6]), rng.choice([2, 2, 9, 1000])
+        arcs = [
+            ((i, j), Fraction(rng.randint(-hi, hi), rng.choice([1, 1, 3])))
+            for i in range(1, k + 1)
+            for j in range(1, k + 1)
+            if rng.random() < (0.1 if i == j else density)
+        ]
+        rng.shuffle(arcs)
+        digraphs.append(WeightedDigraph.make(k, arcs))
+    infeasible = 0
+    for w in digraphs:
+        try:
+            want = interior_point_by_dense_completion(w)
+        except InfeasibleError as exc:
+            infeasible += 1
+            with pytest.raises(InfeasibleError) as got:
+                interior_point(w)
+            assert str(got.value) == str(exc) and got.value.cycle == exc.cycle
+            continue
+        got = interior_point(w)
+        assert got == want and repr(got) == repr(want)
+    assert 200 < infeasible < 1300
 
 
 @st.composite

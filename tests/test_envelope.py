@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from wdpoly import (
     INF,
     BipartiteSupportGraph,
+    CapabilityError,
     CellRecord,
     DomainError,
     EmptyCellError,
     InfeasibleError,
     PointConfig,
+    SubdivisionCell,
     TropicalMatrix,
     ValueTypeError,
+    WeightedDigraph,
     cell_dimension,
     cell_sample_point,
     covector_closure,
@@ -29,9 +32,10 @@ from wdpoly import (
     is_covector_graph,
     is_generic,
     membership,
+    recession,
     regular_subdivision,
 )
-from wdpoly import envelope
+from wdpoly import digraph, envelope
 
 from oracles import (
     bounded_by_projection,
@@ -40,6 +44,7 @@ from oracles import (
     face_digraph,
     lower_hull_cells,
     random_config,
+    subdivision_by_covector_graphs,
 )
 
 # three points in the plane, two of them on the boundary of finiteness
@@ -200,25 +205,100 @@ def test_interior_point_is_tight_exactly_on_the_closure():
         env_checked += 1
 
 
-def test_subdivision_of_a_unit_square_with_tilt():
-    v = PointConfig.make([[0, 0], [0, 1]])
-    cells = regular_subdivision(v)
-    assert {c.vertices for c in cells} == {
-        frozenset({(1, 1), (1, 2), (2, 1)}),
-        frozenset({(1, 2), (2, 1), (2, 2)}),
-    }
-    assert all(c.dimension == 2 for c in cells)
-
-
-def test_subdivision_does_not_enumerate_the_graphs_first(monkeypatch):
-    # the subdivision reads its cells off one walk, without sorting every graph
+def test_subdivision_walks_vertices_not_cells(monkeypatch):
+    # the subdivision walks from vertex to vertex of the envelope, never through the torus cells
     def refuse(*args, **kwargs):
-        raise AssertionError("regular_subdivision called enumerate_covector_graphs")
+        raise AssertionError("regular_subdivision walked the covector graphs")
 
     monkeypatch.setattr(envelope, "enumerate_covector_graphs", refuse)
+    monkeypatch.setattr(envelope, "_walk", refuse)
     v = PointConfig.make([[0, 0, 0], [0, 1, 2], [0, 2, 4]])
     got = {c.vertices for c in regular_subdivision(v)}
     assert got == lower_hull_cells(v)
+
+
+def test_recession_and_the_vertex_walk_share_one_ray_helper(monkeypatch):
+    assert envelope._rays is digraph._rays
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ray helper was called")
+
+    monkeypatch.setattr(digraph, "_rays", refuse)
+    monkeypatch.setattr(envelope, "_rays", refuse)
+    with pytest.raises(AssertionError, match="ray helper"):
+        recession(WeightedDigraph.make(2, {(1, 2): 0}))
+    with pytest.raises(AssertionError, match="ray helper"):
+        regular_subdivision(PointConfig.make([[0, 1], [1, 0]]))
+
+
+def test_subdivision_bound_counts_every_vertex_held():
+    # the start vertex counts too: a bound of 0 refuses even a one-vertex envelope
+    v = PointConfig.make([[5]])
+    with pytest.raises(CapabilityError, match=r"more than 0 vertices: 0 found, 0 pending"):
+        regular_subdivision(v, candidate_bound=0)
+    assert len(regular_subdivision(v, candidate_bound=1)) == 1
+    with pytest.raises(CapabilityError, match=r"more than 1 vertices: 1 found, 0 pending"):
+        regular_subdivision(PointConfig.make([[0, 1], [1, 0]]), candidate_bound=1)
+
+
+def _cells(dimension, *vertex_sets):
+    return [SubdivisionCell(frozenset(g), dimension) for g in vertex_sets]
+
+
+@pytest.mark.parametrize(
+    "rows, cells",
+    [
+        # d = n = 1: one vertex, the cell {(1,1)} of dimension 0
+        ([[5]], _cells(0, {(1, 1)})),
+        # an all-INF row is a component of its own, in every cell
+        ([[0, 1], [INF, INF]], _cells(1, {(1, 1), (1, 2)})),
+        # a support of two blocks: each cell joins a cell of each block
+        (
+            [[0, 1, INF], [1, 0, INF], [INF, INF, 0]],
+            _cells(3, {(1, 1), (1, 2), (2, 2), (3, 3)}, {(1, 1), (2, 1), (2, 2), (3, 3)}),
+        ),
+        # all zero: one vertex, tight on every arc
+        ([[0, 0, 0], [0, 0, 0]], _cells(3, {(i, j) for i in (1, 2) for j in (1, 2, 3)})),
+        # the tilted unit square splits into two triangles
+        ([[0, 0], [0, 1]], _cells(2, {(1, 1), (1, 2), (2, 1)}, {(1, 2), (2, 1), (2, 2)})),
+    ],
+)
+def test_subdivision_pinned_examples(rows, cells):
+    v = PointConfig.make(rows)
+    assert regular_subdivision(v) == cells
+    assert subdivision_by_covector_graphs(v) == cells
+
+
+@st.composite
+def _block_configs(draw):
+    """d <= 4, n <= 5, entries p/q with p in -3..3 (ties) and q in {1, 3}, and INF.
+
+    Rows and columns are dealt to up to three blocks, and an entry outside
+    its row's and column's block is INF, so supports split into several
+    weak components; INF entries inside a block split them further.
+    """
+    d, n, blocks = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    row_block = draw(st.lists(st.integers(0, blocks - 1), min_size=d, max_size=d))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 3]))
+    cols = []
+    for _ in range(n):
+        b = draw(st.sampled_from(sorted(set(row_block))))
+        col = [
+            draw(st.one_of(entry, entry, st.just(INF))) if row_block[i] == b else INF
+            for i in range(d)
+        ]
+        if all(x is INF for x in col):
+            col[row_block.index(b)] = draw(entry)
+        cols.append(col)
+    return PointConfig.make([[c[i] for c in cols] for i in range(d)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_configs())
+def test_subdivision_matches_the_covector_graph_filter(v):
+    got, want = regular_subdivision(v), subdivision_by_covector_graphs(v)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_subdivision_matches_lower_hull_oracle_on_fixed_inputs():

@@ -283,11 +283,11 @@ def test_cli_capability_exit(tmp_path, capsys):
 
 
 def test_cli_candidate_bound_exit(tmp_path, capsys):
-    # the torus walk holds 8 graphs, found or pending
+    # the torus walk holds 8 graphs, found or pending, and the vertex walk 2 vertices
     path = write(tmp_path, "v.json", {"rows": 2, "cols": 2, "entries": [["0", "1"], ["1", "0"]]})
-    for verb in ("cells", "projective", "subdivision"):
-        assert run([verb, path, "--bound", "7"]) == 3
-        assert run([verb, path, "--bound", "8"]) == 0
+    for verb, holds in (("cells", 8), ("projective", 8), ("subdivision", 2)):
+        assert run([verb, path, "--bound", str(holds - 1)]) == 3
+        assert run([verb, path, "--bound", str(holds)]) == 0
     capsys.readouterr()
 
 
