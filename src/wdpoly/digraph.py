@@ -271,20 +271,22 @@ def _cycle_through(m: int, arcs: Mapping[tuple[int, int], int], dist: list[list]
     ``step`` grows back from m along the arcs that attain those weights,
     each node pointing to one reached before it, so the path never loops,
     even where zero-weight cycles among the lower nodes would trap a
-    greedy walk.
+    greedy walk.  The arcs are scanned in sorted order, so the cycle
+    named depends on the digraph, not on the order its arcs were listed.
     """
     to_m = [row[m] for row in dist]
     to_m[m] = 0
     step = {m: m}
+    items = sorted(arcs.items())
     grown = True
     while grown:
         grown = False
-        for (i, j), wt in arcs.items():
+        for (i, j), wt in items:
             a, b = i - 1, j - 1
             if a < m and a not in step and b in step and to_m[a] == wt + to_m[b]:
                 step[a] = b
                 grown = True
-    a = next(j - 1 for (i, j), wt in arcs.items()
+    a = next(j - 1 for (i, j), wt in items
              if i - 1 == m and j - 1 in step and wt + to_m[j - 1] == dist[m][m])
     cycle = [m + 1]
     while a != m:
@@ -432,7 +434,7 @@ def _completed_point(k: int, scale: int, arcs: Mapping) -> tuple[Fraction, ...]:
     of row a of S + the least of column b) for the star S of ``arcs`` alone.
     """
     big = (k + 1) * (max(map(abs, arcs.values()), default=0) + scale)
-    star = _star(k, dict(sorted(arcs.items())))  # row by row: the arc order picks the cycle named
+    star = _star(k, arcs)
     to = [min([x for x in col if x is not None]) for col in zip(*star)]
     out = []
     for row in star:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from .digraph import WeightedDigraph
 from .errors import DomainError
-from .semiring import _index
+from .semiring import _index, _instance
 
 
 def dot_of_digraph(w: WeightedDigraph, *, bipartite_rows: int | None = None) -> str:
+    _instance(w, WeightedDigraph)
     lines = ["digraph G {"]
     if bipartite_rows is None:
         for v in range(1, w.k + 1):

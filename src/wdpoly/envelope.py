@@ -402,13 +402,23 @@ def regular_subdivision(
     """
     bound = _index(candidate_bound, "a candidate bound")
     arcs = sorted(_instance(v, PointConfig).support().arcs)
-    components, vertices = _vertices(v, bound, arcs)
+    components, _, vertices, edges = _vertices(v, bound, arcs)
+    for _ in edges:
+        pass  # the walk fills ``vertices``
     graphs = sorted(_arcs_of(arcs, g) for g in vertices)
     return [SubdivisionCell(frozenset(g), v.d + v.n - components - 1) for g in graphs]
 
 
 def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
-    """The support's weak-component count and the tight graphs of the envelope's vertices.
+    """(components, L, vertices, edges): the walk over the envelope's vertices.
+
+    ``components`` is the support's weak-component count and L the scale of
+    ``digraph._scaled``.  ``edges`` walks: it yields a tuple (G, B, E, H) per
+    vertex G and ray B of its digraph cone, where E is the tight graph of
+    the edge, G's arcs that do not enter B, and H that of the next vertex,
+    or None for an unbounded edge, so a bounded edge comes from both of its
+    ends.  ``vertices`` maps the tight graph of each vertex the walk has
+    reached to its point, and holds them all once ``edges`` is exhausted.
 
     A graph is a mask over ``arcs``, a point is a list of d+n scaled ints
     (row i is y_i at i-1, column j is z_j at d+j-1), and the slack of the
@@ -426,7 +436,7 @@ def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
     raises.
     """
     d, k = v.d, v.d + v.n
-    entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
+    scale, entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})
     ends = [(i - 1, d + j - 1, entries[i, j]) for i, j in arcs]
     # per node: its support neighbours, and the arcs leaving it (a row) or entering it (a column)
     nbr, touch, least_in = [0] * k, [0] * k, {}
@@ -485,29 +495,32 @@ def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
         else:
             break  # no support arc leaves a tight component: a vertex
 
-    seen, stack, found = set(), [], 0
+    seen, stack = {}, []
 
     def hold(g, p):
         if len(seen) >= bound:
             raise CapabilityError(
                 f"regular subdivision would hold more than {bound} vertices:"
-                f" {found} found, {len(stack)} pending"
+                f" {len(seen) - len(stack)} found, {len(stack)} pending"
             )
-        seen.add(g)
-        stack.append((g, p))
+        seen[g] = p
+        stack.append(g)
+
+    def walk():
+        while stack:
+            g = stack.pop()
+            p = seen[g]
+            succ, nb = masks(g)
+            for q in parts:
+                for ray in _rays(q, succ, nb):
+                    leave, enter = crossing(ray)
+                    h = None
+                    if leave:  # else the edge is unbounded
+                        t, reached = least(p, leave)
+                        h = g & ~enter | reached
+                        if h not in seen:
+                            hold(h, [x + t if ray >> a & 1 else x for a, x in enumerate(p)])
+                    yield g, ray, g & ~enter, h
 
     hold(g, p)
-    while stack:
-        g, p = stack.pop()
-        found += 1
-        succ, nb = masks(g)
-        for q in parts:
-            for ray in _rays(q, succ, nb):
-                leave, enter = crossing(ray)
-                if not leave:
-                    continue  # an unbounded edge
-                t, reached = least(p, leave)
-                h = g & ~enter | reached
-                if h not in seen:
-                    hold(h, [x + t if ray >> a & 1 else x for a, x in enumerate(p)])
-    return components, seen
+    return components, scale, seen, walk()

@@ -6,95 +6,72 @@ point x maps to the pair (x_2 - x_1, x_3 - x_1).  The picture shows the
 segments, unbounded edges clipped at a dashed frame marking the
 projective boundary.  Coordinates in the output are rounded to two
 decimals, which makes the bytes reproducible.
+
+The 1-skeleton is read off the walk over the vertices of V's envelope
+(``envelope._vertices``; README "The SVG" says why).  With a connected
+support its vertices are the 0-cells, and its edges whose graphs cover
+every column the 1-cells; with two weak components each vertex is a
+line; with more there is no 0- or 1-cell.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .covector import CellRecord, cell_sample_point, enumerate_cells
-from .digraph import WeightedDigraph, recession
-from .envelope import PointConfig, face_projection_matrix
+from .envelope import PointConfig, _arcs_of, _vertices
 from .errors import CapabilityError
-from .semiring import is_finite
+from .semiring import _instance
 
 _SIZE = 420
 _MARGIN = 10
 
 
-def _norm(x) -> tuple[Fraction, Fraction]:
-    return (x[1] - x[0], x[2] - x[0])
-
-
-def _directions(v: PointConfig, cell: CellRecord) -> list[tuple[Fraction, Fraction]]:
-    """Recession directions of a torus cell, normalized to the plane x_1 = 0."""
-    m = face_projection_matrix(v, cell.graph)
-    arcs = {
-        (i, j): m.entry(i, j)
-        for i in range(1, 4)
-        for j in range(1, 4)
-        if i != j and is_finite(m.entry(i, j))
-    }
-    rec = recession(WeightedDigraph(3, arcs))
-    dirs = []
-    for r in rec.ray_generators:
-        dx = (Fraction(r[1] - r[0]), Fraction(r[2] - r[0]))
-        if dx != (0, 0) and dx not in dirs:
-            dirs.append(dx)
-    for r in rec.lineality_generators:
-        dx = (Fraction(r[1] - r[0]), Fraction(r[2] - r[0]))
-        if dx != (0, 0):
-            for cand in (dx, (-dx[0], -dx[1])):
-                if cand not in dirs:
-                    dirs.append(cand)
-    return dirs
-
-
 def _clip_ray(p, d, r: Fraction) -> tuple[Fraction, Fraction]:
     """Point where the ray p + t d leaves the square [-r, r]^2."""
-    ts = []
-    for c in range(2):
-        if d[c] > 0:
-            ts.append((r - p[c]) / d[c])
-        elif d[c] < 0:
-            ts.append((-r - p[c]) / d[c])
-    t = min(ts)
+    t = min(((r if x > 0 else -r) - q) / x for q, x in zip(p, d) if x)
     return (p[0] + t * d[0], p[1] + t * d[1])
 
 
 def render_svg(v: PointConfig) -> str:
-    if v.d != 3:
+    if _instance(v, PointConfig).d != 3:
         raise CapabilityError(f"SVG rendering supports d = 3 only, got d = {v.d}")
-    cells = enumerate_cells(v)
-    zero = [c for c in cells if c.dimension == 0]
-    one = [c for c in cells if c.dimension == 1]
-    verts = {c: _norm(cell_sample_point(v, c)) for c in zero}
+    arcs = sorted(v.support().arcs)
+    components, scale, vertices, walk = _vertices(v, 1_000_000, arcs)
+    edges = list(walk)
+    points = {g: (Fraction(p[1] - p[0], scale), Fraction(p[2] - p[0], scale))
+              for g, p in vertices.items()}
+    dots = points if components == 1 else {}
 
-    coords = [q for p in verts.values() for q in p]
+    coords = [q for p in dots.values() for q in p]
     rmax = max((abs(q) for q in coords), default=Fraction(0))
     r = Fraction(max(4, int(rmax) + 2))
-    scale = Fraction(_SIZE - 2 * _MARGIN, 2 * r)
+    px = Fraction(_SIZE - 2 * _MARGIN, 2 * r)
 
     def to_px(p) -> tuple[str, str]:
-        x = _MARGIN + (p[0] + r) * scale
-        y = _MARGIN + (r - p[1]) * scale
+        x = _MARGIN + (p[0] + r) * px
+        y = _MARGIN + (r - p[1]) * px
         return (f"{float(x):.2f}", f"{float(y):.2f}")
 
-    segments: list[tuple[tuple, tuple]] = []
-    for c in one:
-        ends = [verts[z] for z in zero if c.graph.arcs <= z.graph.arcs]
-        ends.sort()
-        if len(ends) >= 2:
-            segments.append((ends[0], ends[-1]))
-            continue
-        dirs = _directions(v, c)
-        base = ends[0] if ends else _norm(cell_sample_point(v, c))
-        if not ends and len(dirs) >= 2:
-            # a full line: extend in both directions from the sample point
-            segments.append((_clip_ray(base, dirs[0], r), _clip_ray(base, dirs[1], r)))
-        else:
-            for d in dirs:
-                segments.append((base, _clip_ray(base, d, r)))
+    def direction(rows: int) -> tuple[int, int]:
+        """chi(rows) in the plane x_1 = 0, for a mask of rows (row i at bit i-1)."""
+        return ((rows >> 1 & 1) - (rows & 1), (rows >> 2 & 1) - (rows & 1))
+
+    segments: dict = {}
+    if components == 1:
+        columns = [sum(1 << b for b, a in enumerate(arcs) if a[1] == j) for j in range(1, v.n + 1)]
+        for g, ray, e, h in edges:
+            if not all(e & m for m in columns):
+                continue  # no torus cell
+            if h is None:
+                segments[e] = (points[g], _clip_ray(points[g], direction(ray), r))
+            else:
+                segments[e] = tuple(sorted((points[g], points[h])))
+    elif components == 2:
+        # each vertex is a line along the lineality direction of row 1's component
+        parts = v.support().nontrivial_components()
+        dx, dy = direction(next((sum(1 << i - 1 for i in q) for q, _ in parts if 1 in q), 1))
+        for g, p in points.items():
+            segments[g] = (_clip_ray(p, (dx, dy), r), _clip_ray(p, (-dx, -dy), r))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -103,14 +80,14 @@ def render_svg(v: PointConfig) -> str:
         f'height="{_SIZE - 2 * _MARGIN}" fill="none" stroke="black" '
         'stroke-dasharray="6,4" stroke-width="1"/>',
     ]
-    for a, b in sorted(segments):
+    for a, b in sorted(segments.values()):
         (x1, y1), (x2, y2) = to_px(a), to_px(b)
         out.append(
             f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             'stroke="black" stroke-width="1.5"/>'
         )
-    for c in sorted(zero, key=CellRecord.sort_key):
-        x, y = to_px(verts[c])
+    for g in sorted(dots, key=lambda g: _arcs_of(arcs, g)):
+        x, y = to_px(dots[g])
         out.append(f'  <circle cx="{x}" cy="{y}" r="3.5" fill="black"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -17,7 +17,10 @@ the projection matrix of the face, tropical determinants and genericity
 via all permutations of every square submatrix, the cells of the
 boundary strata via relabelled sub-configurations, signed cells by one
 flipped selection per sign vector, the cells of a halfspace system by
-filtering every torus cell, and pureness from every cell of the system.
+filtering every torus cell, pureness from every cell of the system, and
+the SVG of a 3-row configuration from every torus cell with one
+projected face and one recession cone per 1-cell (``render_svg_by_cells``;
+the library draws the vertices and edges of the envelope's vertex walk).
 Only names that ``wdpoly`` exports are used, so no oracle shares a
 private helper with the library.
 """
@@ -49,15 +52,18 @@ from wdpoly import (
     TVal,
     WeightedDigraph,
     boundary_matrix,
+    cell_sample_point,
     cells_of_halfspace,
     enumerate_cells,
     enumerate_covector_graphs,
     envelope_digraph,
     face,
     face_projection_matrix,
+    is_finite,
     kleene_star,
     maximal_cells,
     projective_decomposition,
+    recession,
     signed_graph,
     tmul,
     trop_mat_mul,
@@ -390,6 +396,114 @@ def bounded_by_projection(v: PointConfig, g: BipartiteSupportGraph) -> bool:
         if i != l and m.entry(i, l) is not INF
     )
     return len(list(nx.strongly_connected_components(digraph))) == 1
+
+
+# ---------------------------------------------------------------------------
+# the SVG of a 3-row configuration from every torus cell
+
+_SVG_SIZE = 420
+_SVG_MARGIN = 10
+
+
+def _svg_norm(x) -> tuple[Fraction, Fraction]:
+    return (x[1] - x[0], x[2] - x[0])
+
+
+def _svg_directions(v: PointConfig, cell: CellRecord) -> list[tuple[Fraction, Fraction]]:
+    """Recession directions of a torus cell in the plane x_1 = 0, from its projected face."""
+    m = face_projection_matrix(v, cell.graph)
+    arcs = {
+        (i, j): m.entry(i, j)
+        for i in range(1, 4)
+        for j in range(1, 4)
+        if i != j and is_finite(m.entry(i, j))
+    }
+    rec = recession(WeightedDigraph(3, arcs))
+    dirs = []
+    for r in rec.ray_generators:
+        dx = (Fraction(r[1] - r[0]), Fraction(r[2] - r[0]))
+        if dx != (0, 0) and dx not in dirs:
+            dirs.append(dx)
+    for r in rec.lineality_generators:
+        dx = (Fraction(r[1] - r[0]), Fraction(r[2] - r[0]))
+        if dx != (0, 0):
+            for cand in (dx, (-dx[0], -dx[1])):
+                if cand not in dirs:
+                    dirs.append(cand)
+    return dirs
+
+
+def _svg_clip(p, d, r: Fraction) -> tuple[Fraction, Fraction]:
+    """Point where the ray p + t d leaves the square [-r, r]^2."""
+    ts = []
+    for c in range(2):
+        if d[c] > 0:
+            ts.append((r - p[c]) / d[c])
+        elif d[c] < 0:
+            ts.append((-r - p[c]) / d[c])
+    t = min(ts)
+    return (p[0] + t * d[0], p[1] + t * d[1])
+
+
+def render_svg_by_cells(v: PointConfig) -> str:
+    """``svg.render_svg`` from every torus cell of ``enumerate_cells``.
+
+    The 0-cells are the dots, at their sample points.  A 1-cell is the
+    segment between the 0-cells whose graphs contain its graph, or, with
+    fewer than two, the rays of its projected face's recession cone from
+    its one 0-cell or its sample point, clipped at the frame.
+    """
+    if v.d != 3:
+        raise CapabilityError(f"SVG rendering supports d = 3 only, got d = {v.d}")
+    cells = enumerate_cells(v)
+    zero = [c for c in cells if c.dimension == 0]
+    one = [c for c in cells if c.dimension == 1]
+    verts = {c: _svg_norm(cell_sample_point(v, c)) for c in zero}
+
+    coords = [q for p in verts.values() for q in p]
+    rmax = max((abs(q) for q in coords), default=Fraction(0))
+    r = Fraction(max(4, int(rmax) + 2))
+    scale = Fraction(_SVG_SIZE - 2 * _SVG_MARGIN, 2 * r)
+
+    def to_px(p) -> tuple[str, str]:
+        x = _SVG_MARGIN + (p[0] + r) * scale
+        y = _SVG_MARGIN + (r - p[1]) * scale
+        return (f"{float(x):.2f}", f"{float(y):.2f}")
+
+    segments: list[tuple[tuple, tuple]] = []
+    for c in one:
+        ends = [verts[z] for z in zero if c.graph.arcs <= z.graph.arcs]
+        ends.sort()
+        if len(ends) >= 2:
+            segments.append((ends[0], ends[-1]))
+            continue
+        dirs = _svg_directions(v, c)
+        base = ends[0] if ends else _svg_norm(cell_sample_point(v, c))
+        if not ends and len(dirs) >= 2:
+            # a full line: extend in both directions from the sample point
+            segments.append((_svg_clip(base, dirs[0], r), _svg_clip(base, dirs[1], r)))
+        else:
+            for d in dirs:
+                segments.append((base, _svg_clip(base, d, r)))
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'  <rect x="{_SVG_MARGIN}" y="{_SVG_MARGIN}" width="{_SVG_SIZE - 2 * _SVG_MARGIN}" '
+        f'height="{_SVG_SIZE - 2 * _SVG_MARGIN}" fill="none" stroke="black" '
+        'stroke-dasharray="6,4" stroke-width="1"/>',
+    ]
+    for a, b in sorted(segments):
+        (x1, y1), (x2, y2) = to_px(a), to_px(b)
+        out.append(
+            f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            'stroke="black" stroke-width="1.5"/>'
+        )
+    for c in sorted(zero, key=CellRecord.sort_key):
+        x, y = to_px(verts[c])
+        out.append(f'  <circle cx="{x}" cy="{y}" r="3.5" fill="black"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wdpoly import (
@@ -447,14 +447,16 @@ def test_weak_components_match_networkx():
         assert weak_components(w.k, w.arcs) == expect
 
 
+# listed out of row order, with tied paths through two negative cycles
+_TIED = [((4, 2), 0), ((3, 2), 2), ((1, 3), -1), ((3, 1), 1), ((2, 4), -1), ((1, 2), 1),
+         ((4, 1), -2), ((1, 1), 1), ((1, 4), 0)]
+
+
 def test_interior_point_matches_the_dense_completion():
     # the sparse star, completed by at most one big-M arc per path, gives the dense
     # completion's point, and for an empty Q(W) the same negative cycle
     rng = random.Random(41)
-    # listed out of row order, where tied paths let the arc order pick the named cycle
-    pinned = [((4, 2), 0), ((3, 2), 2), ((1, 3), -1), ((3, 1), 1), ((2, 4), -1), ((1, 2), 1),
-              ((4, 1), -2), ((1, 1), 1), ((1, 4), 0)]
-    digraphs = [WeightedDigraph.make(4, pinned)]
+    digraphs = [WeightedDigraph.make(4, _TIED)]
     for _ in range(1500):
         k, density, hi = rng.randint(1, 8), rng.choice([0.1, 0.3, 0.6]), rng.choice([2, 2, 9, 1000])
         arcs = [
@@ -538,6 +540,24 @@ def test_every_witness_is_a_simple_negative_cycle_against_bellman_ford(w, data):
         with pytest.raises(InfeasibleError) as exc:
             call(w)
         _assert_simple_negative_cycle_of(w, exc.value.cycle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_digraphs(), st.randoms(use_true_random=False))
+@example(WeightedDigraph.make(4, _TIED), random.Random(0))
+def test_each_call_names_one_cycle_under_any_order_of_the_arcs(w, rnd):
+    def named(call, arcs):
+        try:
+            out = call(WeightedDigraph.make(w.k, arcs))
+        except InfeasibleError as exc:
+            return exc.cycle
+        return out if call is detect_negative_cycle else None
+
+    items = list(w.arcs.items())
+    orders = [items, sorted(items)] + [rnd.sample(items, len(items)) for _ in range(4)]
+    for call in (detect_negative_cycle, kleene_star, equality_partition, interior_point):
+        cycles = [named(call, arcs) for arcs in orders]
+        assert all(c == cycles[0] for c in cycles), call.__name__
 
 
 def test_witness_leaves_zero_weight_cycles_below_its_top_node():

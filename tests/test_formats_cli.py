@@ -6,12 +6,16 @@ import stat
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdpoly import INF, DomainError, FormatError, PointConfig, ValueTypeError, WeightedDigraph
 from wdpoly import formats as fmt
 from wdpoly.cli import run
 from wdpoly.dot import dot_of_digraph
 from wdpoly.svg import render_svg
+
+from oracles import render_svg_by_cells
 
 
 def write(tmp_path, name, obj):
@@ -157,6 +161,147 @@ def test_svg_output_is_deterministic_and_bounded():
 
     for num in re.findall(r'x1="([0-9.]+)"', a):
         assert len(num.split(".")[1]) == 2
+
+
+# The bytes of ``render_svg`` pinned: bounded and unbounded edges, INF entries,
+# thirds, a support of two weak components (lines), of three (the frame alone)
+# and one column.  Each picture is the frame below, its lines and dots, "</svg>".
+_SVG_FRAME = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="420" height="420" viewBox="0 0 420 420">\n'
+    '  <rect x="10" y="10" width="400" height="400" fill="none" stroke="black" '
+    'stroke-dasharray="6,4" stroke-width="1"/>\n'
+)
+_SVG_GOLDEN = {
+    "bounded_and_unbounded_edges": (
+        [[0, 0, 0], [1, 3, -1], [2, -1, 1]],
+        '  <line x1="170.00" y1="250.00" x2="10.00" y2="250.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="170.00" y1="250.00" x2="170.00" y2="410.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="170.00" y1="250.00" x2="170.00" y2="170.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="170.00" y1="250.00" x2="250.00" y2="250.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="170.00" y1="170.00" x2="10.00" y2="170.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="170.00" y1="170.00" x2="210.00" y2="130.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="210.00" y1="130.00" x2="10.00" y2="130.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="210.00" y1="130.00" x2="250.00" y2="130.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="210.00" y1="130.00" x2="330.00" y2="10.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="250.00" y1="250.00" x2="250.00" y2="410.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="250.00" y1="250.00" x2="250.00" y2="130.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="250.00" y1="250.00" x2="330.00" y2="250.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="250.00" y1="130.00" x2="370.00" y2="10.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="330.00" y1="250.00" x2="330.00" y2="410.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="330.00" y1="250.00" x2="410.00" y2="170.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <circle cx="170.00" cy="250.00" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="250.00" cy="250.00" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="170.00" cy="170.00" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="250.00" cy="130.00" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="210.00" cy="130.00" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="330.00" cy="250.00" r="3.5" fill="black"/>' "\n"
+    ),
+    "inf_entries": (
+        [[0, 0, 0], [1, 1, INF], [0, 2, INF]],
+        '  <line x1="260.00" y1="210.00" x2="10.00" y2="210.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="260.00" y1="210.00" x2="260.00" y2="410.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="260.00" y1="210.00" x2="260.00" y2="110.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="260.00" y1="210.00" x2="410.00" y2="60.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="260.00" y1="110.00" x2="10.00" y2="110.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="260.00" y1="110.00" x2="360.00" y2="10.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <circle cx="260.00" cy="210.00" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="260.00" cy="110.00" r="3.5" fill="black"/>' "\n"
+    ),
+    "thirds_and_inf": (
+        [
+            [0, Fraction(1, 3), 0, Fraction(-2, 3)],
+            [Fraction(2, 3), 0, INF, 1],
+            [0, Fraction(-1, 3), Fraction(4, 3), 0],
+        ],
+        '  <line x1="193.33" y1="243.33" x2="10.00" y2="243.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="193.33" y1="243.33" x2="193.33" y2="410.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="193.33" y1="243.33" x2="226.67" y2="210.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="226.67" y1="210.00" x2="10.00" y2="210.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="226.67" y1="210.00" x2="243.33" y2="210.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="226.67" y1="210.00" x2="260.00" y2="176.67" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="243.33" y1="210.00" x2="243.33" y2="410.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="243.33" y1="210.00" x2="276.67" y2="176.67" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="260.00" y1="176.67" x2="10.00" y2="176.67" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="260.00" y1="176.67" x2="276.67" y2="176.67" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="260.00" y1="176.67" x2="293.33" y2="143.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="276.67" y1="176.67" x2="293.33" y2="176.67" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="276.67" y1="176.67" x2="310.00" y2="143.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="293.33" y1="176.67" x2="293.33" y2="410.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="293.33" y1="176.67" x2="326.67" y2="143.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="293.33" y1="143.33" x2="10.00" y2="143.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="293.33" y1="143.33" x2="310.00" y2="143.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="293.33" y1="143.33" x2="410.00" y2="26.67" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="310.00" y1="143.33" x2="326.67" y2="143.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="310.00" y1="143.33" x2="410.00" y2="43.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="326.67" y1="143.33" x2="410.00" y2="143.33" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="326.67" y1="143.33" x2="410.00" y2="60.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <circle cx="193.33" cy="243.33" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="243.33" cy="210.00" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="226.67" cy="210.00" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="293.33" cy="176.67" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="276.67" cy="176.67" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="260.00" cy="176.67" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="326.67" cy="143.33" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="310.00" cy="143.33" r="3.5" fill="black"/>' "\n"
+        '  <circle cx="293.33" cy="143.33" r="3.5" fill="black"/>' "\n"
+    ),
+    "two_components_vertical_lines": (
+        [[0, INF, 1], [2, INF, 0], [INF, 0, INF]],
+        '  <line x1="160.00" y1="410.00" x2="160.00" y2="10.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="310.00" y1="410.00" x2="310.00" y2="10.00" stroke="black" stroke-width="1.5"/>' "\n"
+    ),
+    "two_components_diagonal_lines": (
+        [[0, INF, INF], [INF, 1, 0], [INF, 2, -1]],
+        '  <line x1="10.00" y1="360.00" x2="360.00" y2="10.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="60.00" y1="410.00" x2="410.00" y2="60.00" stroke="black" stroke-width="1.5"/>' "\n"
+    ),
+    "an_all_inf_row": (
+        [[0, 1], [INF, INF], [2, 0]],
+        '  <line x1="10.00" y1="260.00" x2="410.00" y2="260.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="10.00" y1="110.00" x2="410.00" y2="110.00" stroke="black" stroke-width="1.5"/>' "\n"
+    ),
+    "three_components_frame_only": (
+        [[0, INF, INF], [INF, 0, INF], [INF, INF, 0]],
+        ""
+    ),
+    "one_column": (
+        [[0], [1], [3]],
+        '  <line x1="250.00" y1="90.00" x2="10.00" y2="90.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="250.00" y1="90.00" x2="250.00" y2="410.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <line x1="250.00" y1="90.00" x2="330.00" y2="10.00" stroke="black" stroke-width="1.5"/>' "\n"
+        '  <circle cx="250.00" cy="90.00" r="3.5" fill="black"/>' "\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SVG_GOLDEN))
+def test_svg_bytes_are_pinned(name):
+    entries, body = _SVG_GOLDEN[name]
+    v = PointConfig.make(entries)
+    assert render_svg(v) == _SVG_FRAME + body + "</svg>\n"
+    assert render_svg_by_cells(v) == render_svg(v)
+
+
+@st.composite
+def _svg_configs(draw):
+    """3 x n with n <= 5, entries p/q with p in -3..3 and q in {1, 3}; most draws allow INF."""
+    rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 3]))
+    entry = st.one_of(rational, st.just(INF)) if draw(st.integers(0, 3)) else rational
+    column = st.lists(entry, min_size=3, max_size=3).filter(lambda c: any(x is not INF for x in c))
+    cols = draw(st.lists(column, min_size=1, max_size=5))
+    return PointConfig.make([[c[i] for c in cols] for i in range(3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_svg_configs())
+def test_svg_matches_the_torus_cell_oracle(v):
+    assert render_svg(v) == render_svg_by_cells(v)
+
+
+@pytest.mark.parametrize("render", [render_svg, dot_of_digraph])
+def test_a_renderer_given_a_list_raises_a_value_type_error(render):
+    with pytest.raises(ValueTypeError):
+        render([[0]])
 
 
 def test_svg_rejects_other_dimensions():

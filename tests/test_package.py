@@ -184,6 +184,21 @@ def test_a_digraph_verb_loads_no_cell_layer(tmp_path):
         assert f"'wdpoly.{name}'" not in proc.stderr
 
 
+def test_plot_svg_loads_the_envelope_and_svg_but_no_cell_layer(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"rows": 3, "cols": 2, "entries": [[0, 1], [2, 0], [1, "inf"]]}))
+    code = (
+        "import sys\n"
+        "from wdpoly.cli import run\n"
+        "assert run(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wdpoly')), file=sys.stderr)\n"
+    )
+    proc = _fresh_python(code, "plot-svg", str(path))
+    assert proc.stdout.startswith("<svg") and "<circle" in proc.stdout
+    layers = ("cli", "digraph", "envelope", "errors", "formats", "matrix", "semiring", "svg")
+    assert proc.stderr.strip() == repr(["wdpoly"] + [f"wdpoly.{m}" for m in layers])
+
+
 def test_importing_the_cli_loads_only_its_layers():
     code = "import sys, wdpoly.cli; print(sorted(m for m in sys.modules if m.startswith('wdpoly')))"
     loaded = _fresh_python(code).stdout.strip()
