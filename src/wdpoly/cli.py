@@ -248,11 +248,12 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
             )
         p.add_argument("-o", "--output", help="output path (default stdout)")
         if name in ("cells", "subdivision", "pure", "signed", "projective"):
+            held = "envelope vertices" if name == "subdivision" else "covector graphs"
             p.add_argument(
                 "--bound",
                 type=int,
                 default=1_000_000,
-                help="cap on the covector graphs the walk holds, found or pending",
+                help=f"cap on the {held} the walk holds, found or pending",
             )
         if name == "faces":
             p.add_argument(

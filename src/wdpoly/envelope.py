@@ -400,25 +400,22 @@ def regular_subdivision(
     conv{e_i (+) e_j : (i,j) in G} has dimension d + n - (weak components
     of G) - 1.
     """
-    bound = _index(candidate_bound, "a candidate bound")
-    arcs = sorted(_instance(v, PointConfig).support().arcs)
-    components, _, vertices, edges = _vertices(v, bound, arcs)
-    for _ in edges:
-        pass  # the walk fills ``vertices``
-    graphs = sorted(_arcs_of(arcs, g) for g in vertices)
+    arcs, components, _, walk = _vertices(v, candidate_bound)
+    graphs = sorted(_arcs_of(arcs, g) for g, _, _ in walk)
     return [SubdivisionCell(frozenset(g), v.d + v.n - components - 1) for g in graphs]
 
 
-def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
-    """(components, L, vertices, edges): the walk over the envelope's vertices.
+def _vertices(v: PointConfig, bound: int):
+    """(arcs, components, L, walk): V's sorted support arcs and a walk over its envelope's vertices.
 
     ``components`` is the support's weak-component count and L the scale of
-    ``digraph._scaled``.  ``edges`` walks: it yields a tuple (G, B, E, H) per
-    vertex G and ray B of its digraph cone, where E is the tight graph of
-    the edge, G's arcs that do not enter B, and H that of the next vertex,
-    or None for an unbounded edge, so a bounded edge comes from both of its
-    ends.  ``vertices`` maps the tight graph of each vertex the walk has
-    reached to its point, and holds them all once ``edges`` is exhausted.
+    ``digraph._scaled``.  ``walk`` yields each vertex once as (G, p, edges):
+    its tight graph, its point, and a list of one (B, E, H) per ray B of G's
+    digraph cone, where E is the tight graph of the edge, G's arcs that do
+    not enter B, and H that of the next vertex, or None for an unbounded
+    edge.  A bounded edge comes from both of its ends, and at the later one
+    H has been yielded.  The walk keeps the tight graphs it has reached, and
+    the point of a vertex only until it yields it.
 
     A graph is a mask over ``arcs``, a point is a list of d+n scaled ints
     (row i is y_i at i-1, column j is z_j at d+j-1), and the slack of the
@@ -432,9 +429,10 @@ def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
     adds the leaving arcs of slack t.  With no arc leaving B the edge is
     unbounded.  Modulo lineality the envelope is pointed, and its vertices
     and bounded edges form a connected graph, so every vertex is reached.
-    Rather than hold more than ``bound`` vertices, found or pending, it
-    raises.
+    Rather than hold more than ``bound`` vertices, found or pending, it raises.
     """
+    bound = _index(bound, "a candidate bound")
+    arcs = sorted(_instance(v, PointConfig).support().arcs)
     d, k = v.d, v.d + v.n
     scale, entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})
     ends = [(i - 1, d + j - 1, entries[i, j]) for i, j in arcs]
@@ -495,7 +493,7 @@ def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
         else:
             break  # no support arc leaves a tight component: a vertex
 
-    seen, stack = {}, []
+    seen, stack = set(), []
 
     def hold(g, p):
         if len(seen) >= bound:
@@ -503,14 +501,14 @@ def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
                 f"regular subdivision would hold more than {bound} vertices:"
                 f" {len(seen) - len(stack)} found, {len(stack)} pending"
             )
-        seen[g] = p
-        stack.append(g)
+        seen.add(g)
+        stack.append((g, p))
 
     def walk():
         while stack:
-            g = stack.pop()
-            p = seen[g]
+            g, p = stack.pop()
             succ, nb = masks(g)
+            edges = []
             for q in parts:
                 for ray in _rays(q, succ, nb):
                     leave, enter = crossing(ray)
@@ -520,7 +518,8 @@ def _vertices(v: PointConfig, bound: int, arcs: list[tuple[int, int]]):
                         h = g & ~enter | reached
                         if h not in seen:
                             hold(h, [x + t if ray >> a & 1 else x for a, x in enumerate(p)])
-                    yield g, ray, g & ~enter, h
+                    edges.append((ray, g & ~enter, h))
+            yield g, p, edges
 
     hold(g, p)
-    return components, scale, seen, walk()
+    return arcs, components, scale, walk()

@@ -58,21 +58,24 @@ def write_atomic(path: str, text: str) -> None:
     """Write the full payload, then rename into place.
 
     The file gets the mode a plain ``open`` would give it, 0o666 less the
-    umask, instead of the 0600 of the temporary file.
+    umask, instead of the 0600 of the temporary file.  A path that cannot
+    be written raises ``FormatError`` and leaves no temporary file behind.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise FormatError(f"cannot write file: {exc.strerror or exc}", path=path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # the rename did not happen
             os.unlink(tmp)
-        raise
 
 
 def _require(obj: Any, field: str, path=None) -> Any:
@@ -89,7 +92,7 @@ def parse_matrix(obj: Any, path=None) -> TropicalMatrix:
     rows = _require(obj, "rows", path)
     cols = _require(obj, "cols", path)
     entries = _require(obj, "entries", path)
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise FormatError("rows and cols must be positive integers", path=path, field="rows")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(f"expected {rows} entry rows", path=path, field="entries")
@@ -127,7 +130,7 @@ def parse_point_config(obj: Any, path=None) -> PointConfig:
 def parse_digraph(obj: Any, path=None) -> WeightedDigraph:
     k = _require(obj, "nodes", path)
     arcs_raw = _require(obj, "arcs", path)
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise FormatError("nodes must be a positive integer", path=path, field="nodes")
     if not isinstance(arcs_raw, list):
         raise FormatError("arcs must be a list", path=path, field="arcs")
@@ -137,9 +140,7 @@ def parse_digraph(obj: Any, path=None) -> WeightedDigraph:
         i = _require(a, "from", path)
         j = _require(a, "to", path)
         w = parse_value(_require(a, "w", path), path=path, field=f"arcs[{t}].w")
-        if not isinstance(i, int) or not isinstance(j, int) or not (
-            1 <= i <= k and 1 <= j <= k
-        ):
+        if type(i) is not int or type(j) is not int or not (1 <= i <= k and 1 <= j <= k):
             raise FormatError(
                 f"arc ({i},{j}) out of range for {k} nodes", path=path, field=f"arcs[{t}]"
             )
@@ -174,13 +175,13 @@ def parse_support_graph(obj: Any, path=None) -> BipartiteSupportGraph:
     d = _require(obj, "d", path)
     n = _require(obj, "n", path)
     arcs = _require(obj, "arcs", path)
-    if not isinstance(d, int) or not isinstance(n, int) or d < 1 or n < 1:
+    if type(d) is not int or type(n) is not int or d < 1 or n < 1:
         raise FormatError("d and n must be positive integers", path=path, field="d")
     if not isinstance(arcs, list):
         raise FormatError("arcs must be a list of [i,j] pairs", path=path, field="arcs")
     pairs = []
     for t, a in enumerate(arcs, start=1):
-        if not (isinstance(a, list) and len(a) == 2 and all(isinstance(x, int) for x in a)):
+        if not (isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)):
             raise FormatError("arc must be a pair [i,j]", path=path, field=f"arcs[{t}]")
         pairs.append((a[0], a[1]))
     try:
@@ -202,7 +203,7 @@ def parse_system(obj: Any, path=None) -> HalfspaceSystem:
         raise FormatError("selection must be a list of [i,j] pairs", path=path, field="selection")
     pairs = []
     for t, a in enumerate(sel, start=1):
-        if not (isinstance(a, list) and len(a) == 2 and all(isinstance(x, int) for x in a)):
+        if not (isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)):
             raise FormatError("selection entry must be [i,j]", path=path, field=f"selection[{t}]")
         pairs.append((a[0], a[1]))
     try:

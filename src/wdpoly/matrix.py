@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
 from typing import Iterable, Sequence
 
@@ -122,13 +122,12 @@ def _add_row(table: dict, row: Sequence[TVal]) -> dict:
     return out
 
 
-class TropicalDetResult(_Record, uncompared=("_levels",)):
+class TropicalDetResult(_Record):
     """A tropical determinant; ``optimal_permutations`` is listed on first read."""
 
     value: TVal
     vanishes: bool
     _rows: tuple[tuple[TVal, ...], ...]
-    _levels: tuple[dict, ...]
 
     @cached_property
     def optimal_permutations(self) -> frozenset[tuple[int, ...]]:
@@ -137,9 +136,10 @@ class TropicalDetResult(_Record, uncompared=("_levels",)):
         if self.value is INF:
             return frozenset(tuple(j + 1 for j in p) for p in itertools.permutations(range(k)))
         # an optimal bijection is optimal on every row prefix: walk the levels down
+        levels = list(itertools.accumulate(self._rows, _add_row, initial={0: (Fraction(0), 1)}))
         paths = [((1 << k) - 1, ())]
         for i in range(k, 0, -1):
-            here, below = self._levels[i], self._levels[i - 1]
+            here, below = levels[i], levels[i - 1]
             paths = [
                 (m, (j + 1,) + tail)
                 for mask, tail in paths
@@ -163,9 +163,9 @@ def trop_det(a: TropicalMatrix, *, perm_bound: int = 9) -> TropicalDetResult:
     k = a.rows
     if k > _index(perm_bound, "a permutation bound"):
         raise CapabilityError(f"tropical determinant is limited to k <= {perm_bound}, got {k}")
-    levels = tuple(itertools.accumulate(a.entries, _add_row, initial={0: (Fraction(0), 1)}))
-    value, count = levels[-1].get((1 << k) - 1, (INF, 0))
-    return TropicalDetResult(value, count != 1, a.entries, levels)
+    table = reduce(_add_row, a.entries, {0: (Fraction(0), 1)})
+    value, count = table.get((1 << k) - 1, (INF, 0))
+    return TropicalDetResult(value, count != 1, a.entries)
 
 
 def is_generic(

@@ -94,17 +94,17 @@ class _Record:
 
     A record is built from its fields by position or name, then ``__post_init__``
     checks it.  Assignment and deletion raise ``AttributeError``.  Equality holds
-    only within one class and, like the hash, reads the fields not named in the
-    class keyword ``uncompared``.  The repr leaves out private fields, and pickle
-    and copy rebuild a record through ``__init__``.  No method is generated per
-    class, so defining the records costs a process only their class bodies.
+    only within one class and, like the hash, reads every field.  The repr leaves
+    out private fields, and pickle and copy rebuild a record through ``__init__``.
+    No method is generated per class, so defining the records costs a process
+    only their class bodies.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, uncompared=()):
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
-        cls._key = attrgetter(*(f for f in cls._fields if f not in uncompared))
+        cls._key = attrgetter(*cls._fields)
         # a slot's descriptor sets it with no lookup by name, as cheaply as generated code
         own = vars(cls)
         cls._setters = tuple(own[f].__set__ if f in own else partial(_set, f) for f in cls._fields)

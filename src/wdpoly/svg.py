@@ -35,11 +35,18 @@ def _clip_ray(p, d, r: Fraction) -> tuple[Fraction, Fraction]:
 def render_svg(v: PointConfig) -> str:
     if _instance(v, PointConfig).d != 3:
         raise CapabilityError(f"SVG rendering supports d = 3 only, got d = {v.d}")
-    arcs = sorted(v.support().arcs)
-    components, scale, vertices, walk = _vertices(v, 1_000_000, arcs)
-    edges = list(walk)
-    points = {g: (Fraction(p[1] - p[0], scale), Fraction(p[2] - p[0], scale))
-              for g, p in vertices.items()}
+    arcs, components, scale, walk = _vertices(v, 1_000_000)
+    columns = [sum(1 << b for b, a in enumerate(arcs) if a[1] == j) for j in range(1, v.n + 1)]
+    points, segments, unbounded = {}, [], []
+    for g, p, edges in walk:
+        points[g] = x = (Fraction(p[1] - p[0], scale), Fraction(p[2] - p[0], scale))
+        for ray, e, h in edges if components == 1 else ():  # else no edge is a 1-cell
+            if not all(e & m for m in columns):
+                continue  # no torus cell
+            if h is None:
+                unbounded.append((x, ray))
+            elif h in points:  # the edge's later end: both points are known
+                segments.append(tuple(sorted((x, points[h]))))
     dots = points if components == 1 else {}
 
     coords = [q for p in dots.values() for q in p]
@@ -56,22 +63,13 @@ def render_svg(v: PointConfig) -> str:
         """chi(rows) in the plane x_1 = 0, for a mask of rows (row i at bit i-1)."""
         return ((rows >> 1 & 1) - (rows & 1), (rows >> 2 & 1) - (rows & 1))
 
-    segments: dict = {}
-    if components == 1:
-        columns = [sum(1 << b for b, a in enumerate(arcs) if a[1] == j) for j in range(1, v.n + 1)]
-        for g, ray, e, h in edges:
-            if not all(e & m for m in columns):
-                continue  # no torus cell
-            if h is None:
-                segments[e] = (points[g], _clip_ray(points[g], direction(ray), r))
-            else:
-                segments[e] = tuple(sorted((points[g], points[h])))
-    elif components == 2:
+    segments += [(x, _clip_ray(x, direction(ray), r)) for x, ray in unbounded]
+    if components == 2:
         # each vertex is a line along the lineality direction of row 1's component
         parts = v.support().nontrivial_components()
         dx, dy = direction(next((sum(1 << i - 1 for i in q) for q, _ in parts if 1 in q), 1))
-        for g, p in points.items():
-            segments[g] = (_clip_ray(p, (dx, dy), r), _clip_ray(p, (-dx, -dy), r))
+        for x in points.values():
+            segments.append((_clip_ray(x, (dx, dy), r), _clip_ray(x, (-dx, -dy), r)))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -80,7 +78,7 @@ def render_svg(v: PointConfig) -> str:
         f'height="{_SIZE - 2 * _MARGIN}" fill="none" stroke="black" '
         'stroke-dasharray="6,4" stroke-width="1"/>',
     ]
-    for a, b in sorted(segments.values()):
+    for a, b in sorted(segments):
         (x1, y1), (x2, y2) = to_px(a), to_px(b)
         out.append(
             f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '

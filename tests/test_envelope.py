@@ -301,6 +301,36 @@ def test_subdivision_matches_the_covector_graph_filter(v):
     assert repr(got) == repr(want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_block_configs())
+@example(PointConfig.make([[0, 0, 0], [1, 3, -1], [2, -1, 1]]))
+def test_the_vertex_walk_streams_each_vertex_once_with_its_edges(v):
+    arcs, components, scale, walk = envelope._vertices(v, 1_000_000)
+    assert arcs == sorted(v.support().arcs)
+    yielded, bounded = set(), {}
+    for g, p, edges in walk:
+        assert g not in yielded
+        yielded.add(g)
+        # p is a vertex: no slack is negative, g holds the arcs of slack 0, and it has
+        # as many weak components as the support
+        for b, (i, j) in enumerate(arcs):
+            slack = v.entry(i, j) * scale - p[i - 1] + p[v.d + j - 1]
+            assert slack >= 0 and (slack == 0) == bool(g >> b & 1)
+        tight = BipartiteSupportGraph(v.d, v.n, frozenset(envelope._arcs_of(arcs, g)))
+        assert tight.weak_component_count() == components
+        for _, e, h in edges:
+            assert e & ~g == 0
+            if h is not None:
+                bounded.setdefault(e, []).append((g, h, h in yielded))
+    # a bounded edge comes from both ends, and at the later one the other end was yielded
+    for ends in bounded.values():
+        assert len(ends) == 2
+        (g, h, first), (g2, h2, later) = ends
+        assert (g2, h2) == (h, g) and not first and later
+    want = {c.vertices for c in regular_subdivision(v)}
+    assert {frozenset(envelope._arcs_of(arcs, g)) for g in yielded} == want
+
+
 def test_subdivision_matches_lower_hull_oracle_on_fixed_inputs():
     for v in (V3, V6, PointConfig.make([[0, 0], [0, 1]])):
         got = {c.vertices for c in regular_subdivision(v)}

@@ -91,6 +91,39 @@ def test_digraph_parse_errors():
     assert err.value.field == "arcs[2]"
 
 
+@pytest.mark.parametrize(
+    "parse, obj, field",
+    [
+        (fmt.parse_matrix, {"rows": True, "cols": 1, "entries": [["0"]]}, "rows"),
+        (fmt.parse_matrix, {"rows": 1, "cols": True, "entries": [["0"]]}, "rows"),
+        (fmt.parse_digraph, {"nodes": True, "arcs": []}, "nodes"),
+        (fmt.parse_digraph, {"nodes": 2, "arcs": [{"from": True, "to": 2, "w": "0"}]}, "arcs[1]"),
+        (fmt.parse_digraph, {"nodes": 2, "arcs": [{"from": 2, "to": True, "w": "0"}]}, "arcs[1]"),
+        (fmt.parse_support_graph, {"d": True, "n": 1, "arcs": [[1, 1]]}, "d"),
+        (fmt.parse_support_graph, {"d": 1, "n": True, "arcs": [[1, 1]]}, "d"),
+        (fmt.parse_support_graph, {"d": 1, "n": 1, "arcs": [[True, 1]]}, "arcs[1]"),
+        (fmt.parse_support_graph, {"d": 1, "n": 1, "arcs": [[1, True]]}, "arcs[1]"),
+        (fmt.parse_system, {"matrix": MATRIX_OBJ, "selection": [[True, 1]]}, "selection[1]"),
+    ],
+)
+def test_a_json_boolean_is_no_count_or_index(parse, obj, field):
+    with pytest.raises(FormatError) as err:
+        parse(obj, "x.json")
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("verb", ["kleene", "feasible", "faces", "rays", "export-dot"])
+def test_digraph_verbs_refuse_json_booleans(tmp_path, capsys, verb):
+    for obj, field in (
+        ({"nodes": True, "arcs": [{"from": True, "to": 1, "w": "-1"}]}, "nodes"),
+        ({"nodes": 2, "arcs": [{"from": True, "to": 1, "w": "-1"}]}, "arcs[1]"),
+        ({"nodes": 2, "arcs": [{"from": 1, "to": True, "w": "-1"}]}, "arcs[1]"),
+    ):
+        path = write(tmp_path, "w.json", obj)
+        assert run([verb, path]) == 2
+        assert f"(field {field})" in capsys.readouterr().err
+
+
 def test_support_graph_round_trip():
     obj = {"d": 2, "n": 2, "arcs": [[1, 1], [2, 2]]}
     g = fmt.parse_support_graph(obj)
@@ -148,19 +181,6 @@ def test_dot_row_count_meets_the_input_contract():
         with pytest.raises(ValueTypeError):
             dot_of_digraph(w, bipartite_rows=rows)
     assert "shape=box" in dot_of_digraph(w, bipartite_rows=1)
-
-
-def test_svg_output_is_deterministic_and_bounded():
-    v = PointConfig(fmt.parse_matrix(CONFIG_OBJ))
-    a = render_svg(v)
-    assert a == render_svg(v)
-    assert a.startswith("<svg")
-    assert a.endswith("</svg>\n")
-    # all coordinates carry exactly two decimals
-    import re
-
-    for num in re.findall(r'x1="([0-9.]+)"', a):
-        assert len(num.split(".")[1]) == 2
 
 
 # The bytes of ``render_svg`` pinned: bounded and unbounded edges, INF entries,
@@ -415,6 +435,18 @@ def test_cli_usage_and_format_errors(tmp_path, capsys):
     good = write(tmp_path, "g.json", digraph_obj())
     assert run(["kleene", good, "--bound", "5"]) == 2  # only enumerating verbs take it
     capsys.readouterr()
+
+
+def test_cli_output_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "w.json", digraph_obj())
+    (tmp_path / "dir").mkdir()
+    # the temporary file of the directory's case is made beside it, in tmp_path
+    for target in (tmp_path / "no" / "such" / "out.json", tmp_path / "dir"):
+        assert run(["kleene", path, "-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: cannot write file: ")
+        assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "w.json"]
 
 
 def test_cli_capability_exit(tmp_path, capsys):

@@ -17,7 +17,6 @@ from wdpoly import (
     SignVector,
     SubdivisionCell,
     TangentDigraph,
-    TropicalDetResult,
     TropicalMatrix,
     WeightedDigraph,
     cone_face_lattice,
@@ -146,11 +145,17 @@ def test_reprs_match_the_field_listing():
     assert repr(SignVector.make("+-")) == "SignVector(signs=('+', '-'))"
 
 
-def test_a_determinant_compares_without_its_levels_and_caches_its_permutations():
+def test_a_determinant_caches_its_permutations():
     r = trop_det(TropicalMatrix.make([[0, 0], [0, 0]]))
-    bare = TropicalDetResult(r.value, r.vanishes, r._rows, ())
-    assert bare == r and hash(bare) == hash(r)
     perms = r.optimal_permutations
     assert perms == {(1, 2), (2, 1)}
     assert r.optimal_permutations is perms
     assert pickle.loads(pickle.dumps(r)).optimal_permutations == perms
+    # the cached listing is no field: a fresh determinant of the same matrix is equal
+    fresh = trop_det(TropicalMatrix.make([[0, 0], [0, 0]]))
+    assert fresh == r and hash(fresh) == hash(r)
+
+
+def test_a_record_class_leaves_no_field_out_of_equality():
+    with pytest.raises(TypeError):
+        type("Partial", (_Record,), {"__annotations__": {"a": int}}, uncompared=("a",))
