@@ -17,7 +17,7 @@ from .digraph import WeightedDigraph, _star
 from .envelope import BipartiteSupportGraph, CovectorGraph, PointConfig, interior_point_of_face
 from .envelope import _arcs_of, _merged, _walk
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
-from .semiring import INF, TVal, _index, _instance, _iterable, _position, is_finite, tpoint
+from .semiring import INF, TVal, _bound, _index, _instance, _iterable, _position, is_finite, tpoint
 from .semiring import _Record
 
 
@@ -414,7 +414,7 @@ def signed_cells(
     not, so a cell goes under every product of its per-column sign sets.
     """
     v = _instance(h, HalfspaceSystem).config
-    if v.n > _index(sign_bound, "a sign bound"):
+    if v.n > _bound(sign_bound, "a sign bound"):
         raise CapabilityError(
             f"signed cell enumeration is limited to {sign_bound} columns, got {v.n}"
         )

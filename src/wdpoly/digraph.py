@@ -23,7 +23,7 @@ from .errors import (
     ValueTypeError,
 )
 from .matrix import TropicalMatrix
-from .semiring import INF, TVal, _Record, _index, _instance, _iterable, tpoint, tval
+from .semiring import INF, TVal, _Record, _bound, _index, _instance, _iterable, tpoint, tval
 
 
 class WeightedDigraph(_Record):
@@ -556,7 +556,7 @@ def cone_face_lattice(gamma: WeightedDigraph, *, node_bound: int = 10) -> ConeFa
     A partition qualifies iff each block induces a weakly connected
     subgraph and contracting the blocks leaves no directed cycle.
     """
-    if _instance(gamma, WeightedDigraph).k > _index(node_bound, "a node bound"):
+    if _instance(gamma, WeightedDigraph).k > _bound(node_bound, "a node bound"):
         raise CapabilityError(
             f"face lattice enumeration is limited to {node_bound} nodes, got {gamma.k}"
         )
@@ -569,9 +569,9 @@ def cone_face_lattice(gamma: WeightedDigraph, *, node_bound: int = 10) -> ConeFa
             continue
         elements.append(NodePartition.make(gamma.k, blocks))
     elements.sort(key=lambda p: (len(p.blocks), p.blocks))
-    minimum = NodePartition.make(gamma.k, weak_components(gamma.k, arcs))
-    top = NodePartition.make(gamma.k, strong_components(gamma.k, arcs))
-    return ConeFaceLattice(gamma.k, tuple(elements), minimum, top)
+    # Blocks lie inside weak components and contain strong ones, so the weak-component
+    # partition alone has the fewest blocks and the strong-component partition the most.
+    return ConeFaceLattice(gamma.k, tuple(elements), elements[0], elements[-1])
 
 
 def acyclic_reduction(gamma: WeightedDigraph) -> tuple[WeightedDigraph, NodePartition]:

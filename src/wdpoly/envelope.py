@@ -25,7 +25,7 @@ from .digraph import (
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, InfeasibleError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
-from .semiring import INF, _Record, _index, _instance, _iterable, _position
+from .semiring import INF, _Record, _bound, _index, _instance, _iterable, _position
 
 
 class PointConfig(_Record):
@@ -289,7 +289,7 @@ def _walk(v: PointConfig, candidate_bound: int, cover=None, stop=False):
     H with a cover arc in every column, H is reached one arc at a time; with
     ``stop``, an inclusion-minimal H is still reached, through graphs missing a column.
     """
-    bound = _index(candidate_bound, "a candidate bound")
+    bound = _bound(candidate_bound, "a candidate bound")
     arcs = sorted(_instance(v, PointConfig).support().arcs)
     cover = set(arcs) if cover is None else cover
     return arcs, _climb(v, bound, arcs, cover, stop)
@@ -431,7 +431,7 @@ def _vertices(v: PointConfig, bound: int):
     and bounded edges form a connected graph, so every vertex is reached.
     Rather than hold more than ``bound`` vertices, found or pending, it raises.
     """
-    bound = _index(bound, "a candidate bound")
+    bound = _bound(bound, "a candidate bound")
     arcs = sorted(_instance(v, PointConfig).support().arcs)
     d, k = v.d, v.d + v.n
     scale, entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})

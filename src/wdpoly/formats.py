@@ -170,6 +170,18 @@ def partition_to_obj(p: NodePartition) -> list[list[int]]:
 # bipartite graphs, halfspace systems, cells
 
 
+def _pairs(raw: Any, field: str, path=None) -> list[tuple[int, int]]:
+    """The ``[i, j]`` int pairs of the list ``raw``, read from ``field``."""
+    if not isinstance(raw, list):
+        raise FormatError(f"{field} must be a list of [i,j] pairs", path=path, field=field)
+    pairs = []
+    for t, a in enumerate(raw, start=1):
+        if not (isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)):
+            raise FormatError("entry must be a pair [i,j]", path=path, field=f"{field}[{t}]")
+        pairs.append((a[0], a[1]))
+    return pairs
+
+
 def parse_support_graph(obj: Any, path=None) -> BipartiteSupportGraph:
     from .envelope import BipartiteSupportGraph
     d = _require(obj, "d", path)
@@ -177,13 +189,7 @@ def parse_support_graph(obj: Any, path=None) -> BipartiteSupportGraph:
     arcs = _require(obj, "arcs", path)
     if type(d) is not int or type(n) is not int or d < 1 or n < 1:
         raise FormatError("d and n must be positive integers", path=path, field="d")
-    if not isinstance(arcs, list):
-        raise FormatError("arcs must be a list of [i,j] pairs", path=path, field="arcs")
-    pairs = []
-    for t, a in enumerate(arcs, start=1):
-        if not (isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)):
-            raise FormatError("arc must be a pair [i,j]", path=path, field=f"arcs[{t}]")
-        pairs.append((a[0], a[1]))
+    pairs = _pairs(arcs, "arcs", path)
     try:
         return BipartiteSupportGraph.make(d, n, pairs)
     except ValueError as exc:
@@ -198,14 +204,7 @@ def parse_system(obj: Any, path=None) -> HalfspaceSystem:
     from .covector import HalfspaceSystem
     from .envelope import BipartiteSupportGraph
     v = parse_point_config(_require(obj, "matrix", path), path)
-    sel = _require(obj, "selection", path)
-    if not isinstance(sel, list):
-        raise FormatError("selection must be a list of [i,j] pairs", path=path, field="selection")
-    pairs = []
-    for t, a in enumerate(sel, start=1):
-        if not (isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)):
-            raise FormatError("selection entry must be [i,j]", path=path, field=f"selection[{t}]")
-        pairs.append((a[0], a[1]))
+    pairs = _pairs(_require(obj, "selection", path), "selection", path)
     try:
         psi = BipartiteSupportGraph.make(v.d, v.n, pairs)
         return HalfspaceSystem.make(v, psi)

@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ShapeError
-from .semiring import INF, TVal, _index, _iterable, _position, tadd, tmul, tsum, tval
+from .semiring import INF, TVal, _bound, _index, _iterable, _position, tadd, tmul, tsum, tval
 from .semiring import _Record, _instance
 
 
@@ -161,7 +161,7 @@ def trop_det(a: TropicalMatrix, *, perm_bound: int = 9) -> TropicalDetResult:
     if not _instance(a, TropicalMatrix).is_square:
         raise ShapeError("tropical determinant needs a square matrix")
     k = a.rows
-    if k > _index(perm_bound, "a permutation bound"):
+    if k > _bound(perm_bound, "a permutation bound"):
         raise CapabilityError(f"tropical determinant is limited to k <= {perm_bound}, got {k}")
     table = reduce(_add_row, a.entries, {0: (Fraction(0), 1)})
     value, count = table.get((1 << k) - 1, (INF, 0))
@@ -182,7 +182,7 @@ def is_generic(
     """
     d, n = _instance(v, TropicalMatrix).rows, v.cols
     total = sum(comb(d, k) * comb(n, k) for k in range(1, min(d, n) + 1))
-    if total > _index(submatrix_bound, "a submatrix bound"):
+    if total > _bound(submatrix_bound, "a submatrix bound"):
         raise CapabilityError(
             f"genericity test would enumerate {total} submatrices (bound {submatrix_bound})"
         )

@@ -172,6 +172,13 @@ def _index(x, what: str, pair: bool = False):
     raise ValueTypeError(f"cannot interpret {x!r} as {what}")
 
 
+def _bound(x, what: str) -> int:
+    """A capability bound: a plain int (not a bool) of at least 0; ``DomainError`` below 0."""
+    if _index(x, what) < 0:
+        raise DomainError(f"{what} must be at least 0, got {x}")
+    return x
+
+
 def _position(i, size: int, what: str) -> int:
     """0-based position of the 1-based index ``i``; ``DomainError`` outside 1..size."""
     if not 1 <= _index(i, f"a {what} index") <= size:

@@ -725,6 +725,36 @@ def test_keyword_bounds_and_object_arguments_give_a_tropical_error():
             take()
 
 
+_M2 = TropicalMatrix.make([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda b: enumerate_cells(_V2, candidate_bound=b),
+        lambda b: regular_subdivision(_V2, candidate_bound=b),
+        lambda b: projective_decomposition(_V2, candidate_bound=b),
+        lambda b: cells_of_halfspace(_H2, candidate_bound=b),
+        lambda b: is_pure(_H2, candidate_bound=b),
+        lambda b: signed_cells(_H2, candidate_bound=b),
+        lambda b: signed_cells(_H2, sign_bound=b),
+        lambda b: cone_face_lattice(_W2, node_bound=b),
+        lambda b: trop_det(_M2, perm_bound=b),
+        lambda b: is_generic(_M2, submatrix_bound=b),
+    ],
+    ids=[
+        "enumerate_cells", "regular_subdivision", "projective_decomposition",
+        "cells_of_halfspace", "is_pure", "signed_cells", "sign_bound",
+        "cone_face_lattice", "trop_det", "is_generic",
+    ],
+)
+def test_a_negative_bound_is_a_domain_error_and_a_zero_bound_a_capability_error(take):
+    with pytest.raises(DomainError, match="must be at least 0, got -1"):
+        take(-1)
+    with pytest.raises(CapabilityError):
+        take(0)
+
+
 _PSI2 = G(2, 2, [(1, 1), (2, 2)])
 _NOT_A_SYSTEM_OR_CONFIG = (
     lambda: cells_of_halfspace("x"),

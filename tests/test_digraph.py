@@ -405,6 +405,13 @@ def test_cone_face_lattice_matches_partition_oracle():
             if nx_partition_qualifies(gamma, blocks)
         }
         assert {p.blocks for p in lat.elements} == expected
+        g = nx.DiGraph(list(gamma.arcs))
+        g.add_nodes_from(range(1, gamma.k + 1))
+        for part, components in (
+            (lat.minimum, nx.weakly_connected_components(g)),
+            (lat.top, nx.strongly_connected_components(g)),
+        ):
+            assert part == NodePartition.make(gamma.k, [tuple(c) for c in components])
 
 
 def test_lattice_dimensions_match_equality_partitions():

@@ -1,8 +1,11 @@
 """JSON formats, DOT/SVG emission and the command line."""
 
+import errno
+import io
 import json
 import os
 import stat
+import sys
 from fractions import Fraction
 
 import pytest
@@ -447,6 +450,32 @@ def test_cli_output_path_that_cannot_be_written_exits_2(tmp_path, capsys):
         assert err.startswith(f"error: {target}: cannot write file: ")
         assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "w.json"]
+
+
+class _FullStream(io.StringIO):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("verb", ["cells", "export-dot"])
+def test_cli_stdout_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, verb):
+    path = write(tmp_path, "v.json", CONFIG_OBJ)
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert run([verb, path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize(
+    "verb, flag, what",
+    [("cells", "--bound", "a candidate bound"), ("faces", "--node-bound", "a node bound")],
+)
+def test_cli_negative_bound_exits_2(tmp_path, capsys, verb, flag, what):
+    path = write(tmp_path, "in.json", digraph_obj() if verb == "faces" else CONFIG_OBJ)
+    assert run([verb, path, flag, "-1"]) == 2
+    assert capsys.readouterr().err == f"error: {what} must be at least 0, got -1\n"
 
 
 def test_cli_capability_exit(tmp_path, capsys):
