@@ -9,6 +9,7 @@ with ``-o``.  Exit codes: 0 success, 1 infeasible or empty answer,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import digraph as dg
@@ -51,21 +52,19 @@ def _cmd_feasible(args):
 def _cmd_faces(args):
     gamma = _load_digraph(args.input).zero_weights()
     lattice = dg.cone_face_lattice(gamma, node_bound=args.node_bound)
-    obj = {
+    return {
         "partitions": [fmt.partition_to_obj(p) for p in lattice.elements],
         "minimum": fmt.partition_to_obj(lattice.minimum),
         "top": fmt.partition_to_obj(lattice.top),
-    }
-    return obj, 0
+    }, 0
 
 
 def _cmd_rays(args):
     rec = dg.recession(_load_digraph(args.input))
-    obj = {
+    return {
         "lineality": [list(r) for r in rec.lineality_generators],
         "rays": [list(r) for r in rec.ray_generators],
-    }
-    return obj, 0
+    }, 0
 
 
 def _cmd_envelope(args):
@@ -90,12 +89,9 @@ def _cmd_member(args):
     point = fmt.parse_point(args.point)
     if args.system:
         ok = cov.halfspace_membership(_load_system(args.input), point)
-        obj = {"member": ok}
-    else:
-        v = _load_config(args.input)
-        ok, lam = cov.tcone_membership(v, cov.ProjectivePoint.make(point))
-        obj = {"member": ok, "witness": fmt.point_to_obj(lam)}
-    return obj, 0 if ok else 1
+        return {"member": ok}, 0 if ok else 1
+    ok, lam = cov.tcone_membership(_load_config(args.input), cov.ProjectivePoint.make(point))
+    return {"member": ok, "witness": fmt.point_to_obj(lam)}, 0 if ok else 1
 
 
 def _cmd_pure(args):
@@ -133,12 +129,11 @@ def _cmd_tangent(args):
         stratum=frozenset(),
     )
     t = cov.tangent_digraph(system, record)
-    obj = {
+    return {
         "columns": list(t.columns),
         "row_to_col": [list(a) for a in sorted(t.row_to_col)],
         "col_to_row": [list(a) for a in sorted(t.col_to_row)],
-    }
-    return obj, 0
+    }, 0
 
 
 def _cmd_export_dot(args):
@@ -160,13 +155,13 @@ def _cmd_plot_svg(args):
 # parser: one row per verb, with the arguments it takes beyond input and -o
 
 
-def _bound(held: str) -> tuple[str, dict]:
+def _bound_arg(held: str) -> tuple[str, dict]:
     help_text = f"cap on the {held} the walk holds, found or pending"
     return "--bound", {"type": int, "default": 1_000_000, "help": help_text}
 
 
-_GRAPHS = _bound("covector graphs")
-_VERTICES = _bound("envelope vertices")
+_GRAPHS = _bound_arg("covector graphs")
+_VERTICES = _bound_arg("envelope vertices")
 _NODE_BOUND = (
     "--node-bound",
     {"type": int, "default": 10, "help": "node bound for face lattice enumeration"},
@@ -236,6 +231,9 @@ def run(argv: list[str] | None = None) -> int:
                 sys.stdout.write(text)
                 sys.stdout.flush()
             except OSError as exc:
+                # stdout keeps what it could not write and would fail on it again at exit
+                if sys.stdout is sys.__stdout__:
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 raise FormatError(f"cannot write standard output: {exc.strerror or exc}") from None
         return code
     except TropicalError as exc:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -466,6 +467,35 @@ def test_cli_stdout_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch
     assert run([verb, path]) == 2
     err = capsys.readouterr().err
     assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("target", ["/dev/full", "a closed pipe"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_process_with_a_stdout_that_cannot_be_written_exits_2(tmp_path, target, unbuffered):
+    # a buffered stdout keeps what it could not write and flushes it again at exit,
+    # where a second failure would add an "Exception ignored" report and exit 120
+    path = write(tmp_path, "w.json", digraph_obj())
+    src = os.path.dirname(os.path.dirname(fmt.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = "import sys; from wdpoly.cli import entry; sys.argv[0] = 'wdpoly'; entry()"
+    if target == "/dev/full":
+        stdout = open(target, "w")
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = os.fdopen(write_end, "w")
+    with stdout:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "kleene", path],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot write standard output: ")
 
 
 @pytest.mark.parametrize(
