@@ -197,9 +197,30 @@ _VERBS = (
 )
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout, or raise ``FormatError`` if stdout cannot take all of it."""
+    if sys.stdout is None:  # started with its descriptor closed
+        raise FormatError("cannot write standard output: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout keeps what it could not write and would fail on it again at exit
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise FormatError(f"cannot write standard output: {exc.strerror or exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help goes through ``_write_stdout``: argparse ignores a failed write."""
+
+    def print_help(self, file=None):
+        _write_stdout(self.format_help())
+
+
 def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser with the subparser of ``verb`` alone, or of every verb if it names none."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wdpoly",
         description="Exact combinatorics of weighted digraph polyhedra and tropical cones",
     )
@@ -218,23 +239,16 @@ def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after the help text, or a usage error on stderr
+            return 0 if exc.code == 0 else 2
         output, code = args.handler(args)
         text = output if isinstance(output, str) else fmt.dump_json(output)
         if args.output:
             fmt.write_atomic(args.output, text)
         else:
-            try:
-                sys.stdout.write(text)
-                sys.stdout.flush()
-            except OSError as exc:
-                # stdout keeps what it could not write and would fail on it again at exit
-                if sys.stdout is sys.__stdout__:
-                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                raise FormatError(f"cannot write standard output: {exc.strerror or exc}") from None
+            _write_stdout(text)
         return code
     except TropicalError as exc:
         print(f"error: {exc}", file=sys.stderr)

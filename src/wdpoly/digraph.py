@@ -132,6 +132,16 @@ class NodePartition(_Record):
 # component helpers
 
 
+def _masks(size: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The successor mask and the neighbour mask (arcs either way) of each node below ``size``."""
+    succ, nbr = [0] * size, [0] * size
+    for i, j in arcs:
+        succ[i] |= 1 << j
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return succ, nbr
+
+
 def _flood(seed: int, adj: list[int], within: int) -> int:
     """The nodes that the mask ``seed`` reaches along the masks ``adj``, staying in ``within``."""
     reached = frontier = seed
@@ -152,13 +162,9 @@ def _parts(nbr: list[int], within: int):
 
 def weak_components(k: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """Weakly connected components, sorted by least element."""
-    nbr = [0] * (k + 1)
-    for i, j in arcs:
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
     return [
         tuple(v for v in range(1, k + 1) if comp >> v & 1)
-        for comp in _parts(nbr, (1 << k + 1) - 2)
+        for comp in _parts(_masks(k + 1, arcs)[1], (1 << k + 1) - 2)
     ]
 
 
@@ -169,58 +175,6 @@ def strong_components(k: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int
     arcs: two nodes share a zero-weight cycle iff each reaches the other.
     """
     return list(equality_partition(WeightedDigraph.make(k, dict.fromkeys(arcs, 0))).blocks)
-
-
-def _induced_connected(nodes: frozenset[int], arcs: Iterable[tuple[int, int]]) -> bool:
-    """Weak connectivity of the induced subgraph (singletons count as connected)."""
-    nodes = frozenset(nodes)
-    if not nodes:
-        return False
-    if len(nodes) == 1:
-        return True
-    adj: dict[int, set[int]] = {v: set() for v in nodes}
-    for i, j in arcs:
-        if i in nodes and j in nodes:
-            adj[i].add(j)
-            adj[j].add(i)
-    start = next(iter(nodes))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen == nodes
-
-
-def _contraction_acyclic(blocks: Sequence[tuple[int, ...]], arcs: Iterable[tuple[int, int]]) -> bool:
-    """Whether contracting each block leaves no directed cycle (loops dropped)."""
-    block_of = {}
-    for idx, b in enumerate(blocks):
-        for i in b:
-            block_of[i] = idx
-    succ: dict[int, set[int]] = {idx: set() for idx in range(len(blocks))}
-    for i, j in arcs:
-        bi, bj = block_of[i], block_of[j]
-        if bi != bj:
-            succ[bi].add(bj)
-    # Kahn's algorithm
-    indeg = {v: 0 for v in succ}
-    for v, outs in succ.items():
-        for w in outs:
-            indeg[w] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +424,10 @@ def recession(w: WeightedDigraph) -> RecessionDecomposition:
     the chi(K) that ``_rays`` lists in each C.
     """
     k = _instance(w, WeightedDigraph).k
-    comps = weak_components(k, w.arcs)
-    succ, nbr = [0] * (k + 1), [0] * (k + 1)
-    for i, j in w.arcs:
-        succ[i] |= 1 << j
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-    rays = [r for comp in comps for r in _rays(sum(1 << v for v in comp), succ, nbr)]
-    lineality = tuple(_chi(k, sum(1 << v for v in c)) for c in comps)
+    succ, nbr = _masks(k + 1, w.arcs)
+    comps = list(_parts(nbr, (1 << k + 1) - 2))
+    rays = [r for comp in comps for r in _rays(comp, succ, nbr)]
+    lineality = tuple(_chi(k, c) for c in comps)
     return RecessionDecomposition(lineality, tuple(sorted(_chi(k, r) for r in rays)))
 
 
@@ -554,20 +504,30 @@ def cone_face_lattice(gamma: WeightedDigraph, *, node_bound: int = 10) -> ConeFa
     """All equality partitions of faces of the digraph cone Q(Gamma, 0).
 
     A partition qualifies iff each block induces a weakly connected
-    subgraph and contracting the blocks leaves no directed cycle.
+    subgraph (a flood of its least node inside it reaches all of it) and
+    contracting the blocks leaves no directed cycle: no flood along the
+    contracted arcs ``out`` (per node, what its block reaches outside itself
+    by one arc) that starts at a block's ``out`` re-enters the block.
     """
     if _instance(gamma, WeightedDigraph).k > _bound(node_bound, "a node bound"):
         raise CapabilityError(
             f"face lattice enumeration is limited to {node_bound} nodes, got {gamma.k}"
         )
-    arcs = list(gamma.arcs)
-    elements = []
-    for blocks in _set_partitions(gamma.k):
-        if not all(_induced_connected(frozenset(b), arcs) for b in blocks):
+    k, elements = gamma.k, []
+    succ, nbr = _masks(k + 1, gamma.arcs)
+    for blocks in _set_partitions(k):
+        masks = [sum(1 << v for v in b) for b in blocks]
+        if any(_flood(m & -m, nbr, m) != m for m in masks):
             continue
-        if not _contraction_acyclic(blocks, arcs):
-            continue
-        elements.append(NodePartition.make(gamma.k, blocks))
+        out = [0] * (k + 1)
+        for b, m in zip(blocks, masks):
+            reach = 0
+            for v in b:
+                reach |= succ[v]
+            for v in b:
+                out[v] = reach & ~m
+        if not any(_flood(out[b[0]], out, ~0) & m for b, m in zip(blocks, masks)):
+            elements.append(NodePartition.make(k, blocks))
     elements.sort(key=lambda p: (len(p.blocks), p.blocks))
     # Blocks lie inside weak components and contain strong ones, so the weak-component
     # partition alone has the fewest blocks and the strong-component partition the most.

@@ -17,6 +17,7 @@ from typing import Iterable
 from .digraph import (
     WeightedDigraph,
     _completed_point,
+    _masks,
     _parts,
     _rays,
     _scaled,
@@ -436,15 +437,14 @@ def _vertices(v: PointConfig, bound: int):
     d, k = v.d, v.d + v.n
     scale, entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})
     ends = [(i - 1, d + j - 1, entries[i, j]) for i, j in arcs]
-    # per node: its support neighbours, and the arcs leaving it (a row) or entering it (a column)
-    nbr, touch, least_in = [0] * k, [0] * k, {}
+    pairs = [(r, c) for r, c, _ in ends]
+    # per node: the arcs leaving it (a row) or entering it (a column)
+    touch, least_in = [0] * k, {}
     for b, (r, c, w) in enumerate(ends):
-        nbr[r] |= 1 << c
-        nbr[c] |= 1 << r
         touch[r] |= 1 << b
         touch[c] |= 1 << b
         least_in[c] = min(least_in.get(c, w), w)
-    parts = [q for q in _parts(nbr, (1 << k) - 1) if q & q - 1]
+    parts = [q for q in _parts(_masks(k, pairs)[1], (1 << k) - 1) if q & q - 1]
     components = k - sum(q.bit_count() - 1 for q in parts)
 
     def crossing(q):
@@ -473,19 +473,10 @@ def _vertices(v: PointConfig, bound: int):
                 reached |= low
         return t, reached
 
-    def masks(g):
-        """The successor and the neighbour mask of each node in the graph g."""
-        succ, nb = [0] * k, [0] * k
-        for r, c, _ in _arcs_of(ends, g):
-            succ[r] |= 1 << c
-            nb[r] |= 1 << c
-            nb[c] |= 1 << r
-        return succ, nb
-
     p = [0] * d + [-least_in[c] for c in range(d, k)]
     while True:
         g = sum(1 << b for b, (r, c, w) in enumerate(ends) if w == p[r] - p[c])
-        for q in _parts(masks(g)[1], (1 << k) - 1):
+        for q in _parts(_masks(k, _arcs_of(pairs, g))[1], (1 << k) - 1):
             if leave := crossing(q)[0]:
                 t = least(p, leave)[0]
                 p = [x + t if q >> a & 1 else x for a, x in enumerate(p)]
@@ -507,7 +498,7 @@ def _vertices(v: PointConfig, bound: int):
     def walk():
         while stack:
             g, p = stack.pop()
-            succ, nb = masks(g)
+            succ, nb = _masks(k, _arcs_of(pairs, g))
             edges = []
             for q in parts:
                 for ray in _rays(q, succ, nb):

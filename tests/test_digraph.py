@@ -395,9 +395,18 @@ def test_cone_face_lattice_of_a_cycle_is_a_point():
 
 
 def test_cone_face_lattice_matches_partition_oracle():
+    # 3->2 and 4->1 close a cycle through the blocks {1, 3} and {2, 4} that no path of
+    # original arcs shows: a flood along those arcs would accept the partition
+    pinned = WeightedDigraph.make(4, dict.fromkeys([(3, 1), (3, 2), (4, 1), (4, 2)], 0))
+    assert ((1, 3), (2, 4)) not in {p.blocks for p in cone_face_lattice(pinned).elements}
     rng = random.Random(43)
-    for _ in range(25):
-        gamma = random_digraph(rng, rng.randint(1, 5), density=0.4).zero_weights()
+    gammas = [pinned]
+    for _ in range(40):
+        k, density = rng.randint(1, 7), rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+        # loops and antiparallel pairs are drawn like any other arc
+        arcs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if rng.random() < density]
+        gammas.append(WeightedDigraph.make(k, dict.fromkeys(arcs, 0)))
+    for gamma in gammas:
         lat = cone_face_lattice(gamma)
         expected = {
             NodePartition.make(gamma.k, blocks).blocks

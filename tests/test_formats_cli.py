@@ -469,6 +469,19 @@ def test_cli_stdout_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch
     assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
+def _cli_process(argv, stdout, unbuffered=False, **options):
+    """``wdpoly argv`` in a fresh interpreter, buffered unless ``unbuffered``, stderr captured."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fmt.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = "import sys; from wdpoly.cli import entry; sys.argv[0] = 'wdpoly'; entry()"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, **options,
+    )
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("target", ["/dev/full", "a closed pipe"])
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -476,12 +489,6 @@ def test_cli_process_with_a_stdout_that_cannot_be_written_exits_2(tmp_path, targ
     # a buffered stdout keeps what it could not write and flushes it again at exit,
     # where a second failure would add an "Exception ignored" report and exit 120
     path = write(tmp_path, "w.json", digraph_obj())
-    src = os.path.dirname(os.path.dirname(fmt.__file__))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = src
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    code = "import sys; from wdpoly.cli import entry; sys.argv[0] = 'wdpoly'; entry()"
     if target == "/dev/full":
         stdout = open(target, "w")
     else:
@@ -489,13 +496,35 @@ def test_cli_process_with_a_stdout_that_cannot_be_written_exits_2(tmp_path, targ
         os.close(read_end)
         stdout = os.fdopen(write_end, "w")
     with stdout:
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "kleene", path],
-            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
-        )
+        proc = _cli_process(["kleene", path], stdout, unbuffered)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: cannot write standard output: ")
+
+
+def test_cli_process_with_stdout_closed_exits_2(tmp_path):
+    # descriptor 1 closed before the interpreter starts, as by `wdpoly kleene w.json >&-`,
+    # leaves sys.stdout None
+    path = write(tmp_path, "w.json", digraph_obj())
+    proc = _cli_process(["kleene", path], None, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: it is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["kleene", "--help"]])
+def test_cli_help_that_cannot_be_written_exits_2(capsys, monkeypatch, argv):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(argv, full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+    # a stdout that takes the help text gets all of it, and the exit is 0
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: {' '.join(['wdpoly', *argv[:-1]])} [-h]")
+    proc = _cli_process(argv, subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
 
 
 @pytest.mark.parametrize(
