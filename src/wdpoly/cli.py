@@ -259,3 +259,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    entry()

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .digraph import WeightedDigraph, _star
+from .digraph import WeightedDigraph, _flood, _masks, _parts
 from .envelope import BipartiteSupportGraph, CovectorGraph, PointConfig, interior_point_of_face
-from .envelope import _arcs_of, _merged, _walk
+from .envelope import _arcs_of, _walk
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
 from .semiring import INF, TVal, _bound, _index, _instance, _iterable, _position, is_finite, tpoint
 from .semiring import _Record
@@ -514,10 +514,11 @@ def projective_decomposition(
     Where the rows K are infinite, a column avoiding K keeps its torus argmin
     rows and pushing x_K to +inf sends every other column into K's sectors, so
     K's graphs are those of K minus its largest row restricted to the other
-    rows and the columns avoiding K (``cell_boundary_restriction``).  The
-    dimension leaves out K's rows and the columns meeting K.  X_G is bounded iff
-    r -> r', for r in the support of a surviving column j and (r', j) in G,
-    strongly connects the other rows: there the face's star is finite.
+    rows R and the columns C avoiding K (``cell_boundary_restriction``).  A
+    cell's dimension is its graph's number of weak components on R and C less
+    one.  X_G is bounded iff every row of R reaches all of R along the arcs
+    r -> r', for (r', j) in G and r in the support of j: there the face's star
+    is finite.
     """
     return [c for _, c, _ in _decomposition(v, candidate_bound)[1]]
 
@@ -526,26 +527,24 @@ def _decomposition(v: PointConfig, candidate_bound: int):
     """The walk's arcs and the sorted (sort key, cell, closed graph's mask) of each cell."""
     arcs, torus = _cells(v, candidate_bound)
     out = [(key, c, g) for g, (key, c) in torus.items()]
-    supports = [v.column_support(j) for j in range(1, v.n + 1)]
+    d, supports = v.d, [v.column_support(j) for j in range(1, v.n + 1)]
     strata = {(): torus}
-    for size in range(1, v.d):
-        for k in itertools.combinations(range(1, v.d + 1), size):
-            rows = [i for i in range(1, v.d + 1) if i not in k]
+    for size in range(1, d):
+        for k in itertools.combinations(range(1, d + 1), size):
+            rows = [i for i in range(1, d + 1) if i not in k]
             cols = {j for j, s in enumerate(supports, start=1) if s.isdisjoint(k)}
             keep = sum(1 << b for b, (_, j) in enumerate(arcs) if j in cols)
             k_arcs = sum(1 << b for b, (i, _) in enumerate(arcs) if i in k)  # in closed graphs
-            if size == v.d - 1:  # one row left: a point, and every torus graph holds all of keep
-                out.append((*_cell(v, _arcs_of(arcs, keep), 0, True, k), keep | k_arcs))
-                continue
+            # row i is node i and column j is node d + j: R is ``r_nodes``, R and C are ``nodes``
+            r_nodes = sum(1 << i for i in rows)
+            nodes = r_nodes | sum(1 << d + j for j in cols)
             strata[k] = {g & keep for g in strata[k[:-1]]}
             for mask in strata[k]:
                 g = _arcs_of(arcs, mask)
-                components = _merged(list(range(v.d + v.n)), v.d + v.n, arcs, v.d, mask)[1]
-                dimension = components - size - (v.n - len(cols)) - 1
-                bounded = len({i for i, _ in g}) == len(rows)  # else a row is reached by none
-                if bounded:
-                    star = _star(v.d, {(r, i): 0 for i, j in g for r in supports[j - 1]})
-                    bounded = all(star[r - 1][s - 1] is not None for r in rows for s in rows)
+                nbr = _masks(d + v.n + 1, [(i, d + j) for i, j in g])[1]
+                dimension = len(list(_parts(nbr, nodes))) - 1
+                succ = _masks(d + 1, [(r, i) for i, j in g for r in supports[j - 1]])[0]
+                bounded = all(_flood(1 << r, succ, r_nodes) == r_nodes for r in rows)
                 out.append((*_cell(v, g, dimension, bounded, k), mask | k_arcs))
     return arcs, sorted(out)
 

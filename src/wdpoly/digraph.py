@@ -23,7 +23,8 @@ from .errors import (
     ValueTypeError,
 )
 from .matrix import TropicalMatrix
-from .semiring import INF, TVal, _Record, _bound, _index, _instance, _iterable, tpoint, tval
+from .semiring import INF, TVal, _Record, _bound, _index, _instance, _iterable, _position
+from .semiring import tpoint, tval
 
 
 class WeightedDigraph(_Record):
@@ -75,7 +76,9 @@ class WeightedDigraph(_Record):
         )
 
     def weight(self, i: int, j: int) -> TVal:
-        return self.arcs.get((_index(i, "a node"), _index(j, "a node")), INF)
+        """The weight of the arc (i, j), ``INF`` if there is none; ``DomainError`` outside 1..k."""
+        key = (_position(i, self.k, "node") + 1, _position(j, self.k, "node") + 1)
+        return self.arcs.get(key, INF)
 
     def zero_weights(self) -> "WeightedDigraph":
         """Same arc set, all weights zero (the digraph cone data)."""

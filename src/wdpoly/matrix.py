@@ -81,9 +81,11 @@ class TropicalMatrix(_Record):
         )
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "TropicalMatrix":
-        """Submatrix by 1-based row and column index sequences."""
+        """Submatrix by 1-based row and column index sequences; ``ShapeError`` if one is empty."""
         rs = [_position(i, self.rows, "row") for i in rows]
         cs = [_position(j, self.cols, "column") for j in cols]
+        if not (rs and cs):
+            raise ShapeError("a submatrix needs at least one row and one column")
         return TropicalMatrix(
             len(rs), len(cs), tuple(tuple(self.entries[i][j] for j in cs) for i in rs)
         )

@@ -475,6 +475,14 @@ def test_projective_decomposition_counts_empty_strata():
     for c in boundary:
         assert c.graph.arcs == frozenset()
         assert c.dimension == 0
+    # one column seen by every row: no column survives any stratum; with two rows
+    # left the stratum is a line, with one a point
+    cells = projective_decomposition(PointConfig.make([[0], [0], [0]]))
+    boundary = {tuple(sorted(c.stratum)): c for c in cells if c.stratum}
+    assert len(boundary) == len([c for c in cells if c.stratum]) == 6
+    for k, c in boundary.items():
+        assert c.graph.arcs == frozenset()
+        assert (c.dimension, c.bounded) == ((1, False) if len(k) == 1 else (0, True))
 
 
 # ---------------------------------------------------------------------------

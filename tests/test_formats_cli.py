@@ -482,6 +482,24 @@ def _cli_process(argv, stdout, unbuffered=False, **options):
     )
 
 
+@pytest.mark.parametrize("module", ["wdpoly", "wdpoly.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, capsys, module):
+    good = write(tmp_path, "good.json", digraph_obj())
+    bad = write(
+        tmp_path,
+        "bad.json",
+        {"nodes": 2, "arcs": [{"from": 1, "to": 2, "w": "-1"}, {"from": 2, "to": 1, "w": "0"}]},
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fmt.__file__)))
+    for argv, code in [(["kleene", good], 0), (["feasible", bad], 1)]:
+        assert run(argv) == code
+        expect = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, expect.out, expect.err)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("target", ["/dev/full", "a closed pipe"])
 @pytest.mark.parametrize("unbuffered", [False, True])

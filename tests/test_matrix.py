@@ -15,6 +15,7 @@ from wdpoly import (
     ShapeError,
     TropicalMatrix,
     ValueTypeError,
+    WeightedDigraph,
     is_generic,
     trop_det,
     trop_mat_mul,
@@ -149,6 +150,7 @@ def test_is_generic_matches_the_minor_oracle(v):
 
 
 _PC = PointConfig.make([[0, "inf"], [2, 5]])
+_W = WeightedDigraph.make(2, {(1, 2): 3})
 
 
 @pytest.mark.parametrize(
@@ -169,6 +171,11 @@ _PC = PointConfig.make([[0, "inf"], [2, 5]])
         pytest.param(lambda: _PC.v.entry(0, 0), DomainError, id="v.entry(0, 0)"),
         pytest.param(lambda: _PC.v.submatrix([1, 0], [1]), DomainError, id="submatrix row 0"),
         pytest.param(lambda: _PC.v.submatrix([1], [2.0]), ValueTypeError, id="submatrix 2.0"),
+        pytest.param(lambda: _PC.v.submatrix([], [1]), ShapeError, id="submatrix no row"),
+        pytest.param(lambda: _PC.v.submatrix([1], []), ShapeError, id="submatrix no column"),
+        pytest.param(lambda: _W.weight(0, 1), DomainError, id="weight(0, 1)"),
+        pytest.param(lambda: _W.weight(3, 3), DomainError, id="weight(3, 3)"),
+        pytest.param(lambda: _W.weight(1, 2.0), ValueTypeError, id="weight(1, 2.0)"),
     ],
 )
 def test_accessors_refuse_indices_outside_one_to_size(take, error):
@@ -177,3 +184,4 @@ def test_accessors_refuse_indices_outside_one_to_size(take, error):
     # in range, the 1-based accessors still read the stored rows
     assert _PC.column_support(2) == {2}
     assert _PC.v.row(2) == _PC.v.entries[1] and _PC.entry(2, 2) == 5
+    assert _W.weight(1, 2) == 3 and _W.weight(2, 1) is INF
