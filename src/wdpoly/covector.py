@@ -6,14 +6,17 @@ common covector decompose R^d and, after compactification, tropical
 projective space.  This module enumerates those cells, decides
 membership in tropical cones and halfspaces, tests pureness, computes
 signed cells and tangent digraphs, and decomposes the boundary strata.
+A covector compares ints: V's entries times the LCM L of their denominators
+(``PointConfig._ints``) and the point times lcm(L, its denominators).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .digraph import WeightedDigraph, _flood, _masks, _parts
+from .digraph import WeightedDigraph, _flood, _masks, _parts, _rescaled
 from .envelope import BipartiteSupportGraph, CovectorGraph, PointConfig, interior_point_of_face
 from .envelope import _arcs_of, _walk
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
@@ -99,58 +102,45 @@ def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> b
     _position(i, z.d, "sector")
     if u[i - 1] is INF:
         raise DomainError(f"index {i} is not in the support of the apex")
-    return (i, 1) in _covector(PointConfig.make([[x] for x in u]), z.coords).arcs
+    return i in _covector(PointConfig.make([[x] for x in u]), z.coords)[2][0]
 
 
 # ---------------------------------------------------------------------------
 # covectors of points and tropical cone membership
 
 
-def _covector(v: PointConfig, pt: Sequence[TVal]) -> CovectorGraph:
-    """The covector graph of any point: (i, j) iff pt lies in closed sector i of apex j.
+def _covector(v: PointConfig, pt: Sequence[TVal]) -> tuple[int, list, list[list[int]]]:
+    """The covector of any point: (L', each column's max of pt_i - v_ij times L', its argmax rows).
 
-    A column whose support meets an infinite coordinate of pt is seen
-    exactly from those rows; any other column from its argmin rows of
-    v_ij - pt_i.
+    Row i attains column j's max, the argmin of v_ij - pt_i, iff pt lies in
+    the closed sector i of apex j.  V's int view and pt are compared as ints
+    scaled by ``digraph._rescaled``.  An infinite pt_i gives INF, so a column
+    whose support meets an infinite coordinate is attained exactly there.
     """
-    arcs = set()
-    for j, col in enumerate(zip(*v.v.entries), start=1):
-        supp = [i for i in range(1, v.d + 1) if col[i - 1] is not INF]
-        rows = [i for i in supp if pt[i - 1] is INF]
-        if not rows:
-            vals = [col[i - 1] - pt[i - 1] for i in supp]
-            best = min(vals)
-            rows = [i for i, val in zip(supp, vals) if val == best]
-        arcs.update((i, j) for i in rows)
-    return BipartiteSupportGraph(v.d, v.n, frozenset(arcs))
+    scale, ints = v._ints
+    big, m, p = _rescaled(scale, pt)
+    top, rows = [None] * v.n, [None] * v.n
+    for (i, j), x in ints.items():
+        y = p[i - 1]
+        if y is not INF:
+            y -= x * m
+        t = top[j - 1]
+        if t is None or y > t:
+            top[j - 1], rows[j - 1] = y, [i]
+        elif y == t:
+            rows[j - 1].append(i)
+    return big, top, rows
 
 
 def covector_of_point(v: PointConfig, x: Sequence) -> CovectorGraph:
-    """The covector graph of a finite point: per column, the argmin rows."""
+    """The covector graph of a finite point: per column, the argmin rows of v_ij - x_i."""
     pt = tpoint(x)
     if len(pt) != _instance(v, PointConfig).d:
         raise ShapeError(f"point has length {len(pt)}, configuration has d={v.d}")
     if any(c is INF for c in pt):
         raise DomainError("covector_of_point needs a finite point")
-    return _covector(v, pt)
-
-
-def tcone_witness(v: PointConfig, z: ProjectivePoint) -> tuple[TVal, ...]:
-    """The canonical multipliers: lambda_j = max_i (z_i - v_ij) over finite v_ij."""
-    lam: list[TVal] = []
-    for col in zip(*v.v.entries):
-        best: TVal | None = None
-        for vij, zi in zip(col, z.coords):
-            if vij is INF:
-                continue
-            if zi is INF:
-                best = INF
-                break
-            cand = zi - vij
-            if best is None or best is not INF and cand > best:
-                best = cand
-        lam.append(best if best is not None else INF)
-    return tuple(lam)
+    arcs = {(i, j) for j, rows in enumerate(_covector(v, pt)[2], start=1) for i in rows}
+    return BipartiteSupportGraph(v.d, v.n, frozenset(arcs))
 
 
 def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TVal, ...]]:
@@ -159,13 +149,14 @@ def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TV
     Uses the sector criterion: every index in the support of z must lie
     in the closed sector of some apex at that index, i.e. every finite
     coordinate is a row with an arc in the covector graph of z.  The
-    returned multipliers reproduce z as a tropical combination exactly
-    when the verdict is positive.
+    multipliers lambda_j = max_i (z_i - v_ij) over finite v_ij reproduce
+    z as a tropical combination exactly when the verdict is positive.
     """
     if _instance(z, ProjectivePoint).d != _instance(v, PointConfig).d:
         raise ShapeError("point dimension does not match the configuration")
-    rows = {i for (i, _) in _covector(v, z.coords).arcs}
-    return z.support() <= rows, tcone_witness(v, z)
+    big, top, rows = _covector(v, z.coords)
+    lam = tuple(t if t is INF else Fraction(t, big) for t in top)
+    return z.support() <= {i for r in rows for i in r}, lam
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +353,8 @@ def halfspace_membership(h: HalfspaceSystem, x: Sequence) -> bool:
     z = ProjectivePoint.make(x)
     if z.d != _instance(h, HalfspaceSystem).config.d:
         raise ShapeError("point dimension mismatch")
-    return len({j for _, j in _covector(h.config, z.coords).arcs & h.psi.arcs}) == h.psi.n
+    rows = _covector(h.config, z.coords)[2]
+    return all(any((i, j) in h.psi.arcs for i in r) for j, r in enumerate(rows, start=1))
 
 
 def cells_of_halfspace(

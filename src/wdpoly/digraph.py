@@ -5,12 +5,15 @@ matrix: the arc (i, j) is present exactly when the entry w_ij is finite,
 and the polyhedron Q(W) consists of the points x with x_i - x_j <= w_ij
 for every arc.  This module covers feasibility, Kleene stars, equality
 partitions, faces, intersections, projections, recession cones and the
-face lattices of zero-weight digraph cones.
+face lattices of zero-weight digraph cones.  Their loops add and compare ints:
+a digraph keeps its weights times the LCM L of their denominators
+(``WeightedDigraph._ints``), and a point joins them at lcm(L, its denominators).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -31,41 +34,53 @@ class WeightedDigraph(_Record):
     """Digraph on nodes 1..k with finite rational arc weights.
 
     Loops and antiparallel arc pairs are allowed; an absent arc stands for
-    an infinite matrix entry.
+    an infinite matrix entry.  The shortest-path queries share ``_ints``.
     """
 
     k: int
     arcs: Mapping[tuple[int, int], Fraction]
 
+    def __post_init__(self):
+        """Refuse what ``make`` refuses, and a weight that is not a Fraction."""
+        k, arcs = _index(self.k, "a node count"), _instance(self.arcs, Mapping)
+        if k < 1:
+            raise ShapeError("node count must be at least 1")
+        for a in arcs:
+            if not (type(a) is tuple and len(a) == 2 and type(a[0]) is int is type(a[1])
+                    and 0 < a[0] <= k and 0 < a[1] <= k):
+                i, j = _index(a, "an arc", pair=True)
+                raise DomainError(f"arc ({i},{j}) out of range for {k} nodes")
+        if not {Fraction}.issuperset(map(type, arcs.values())):
+            raise ValueTypeError("arc weights must be Fractions; make coerces other values")
+
+    @cached_property
+    def _ints(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """``_scaled(arcs)``: the weights as ints and their scale."""
+        return _scaled(self.arcs)
+
     @classmethod
     def make(cls, k: int, arcs: Mapping[tuple[int, int], object] | Iterable) -> "WeightedDigraph":
-        if _index(k, "a node count") < 1:
-            raise ShapeError("node count must be at least 1")
         items = arcs.items() if isinstance(arcs, Mapping) else _iterable(arcs, "arcs")
         clean: dict[tuple[int, int], Fraction] = {}
+        dropped = []
         for item in items:
             if not isinstance(item, (tuple, list)) or len(item) != 2:
                 raise ValueTypeError(f"cannot interpret {item!r} as an arc and its weight")
-            (i, j), w = _index(item[0], "an arc", pair=True), item[1]
-            if not (1 <= i <= k and 1 <= j <= k):
-                raise DomainError(f"arc ({i},{j}) out of range for {k} nodes")
-            wv = tval(w)
-            if wv is INF:
-                continue
-            clean[(i, j)] = wv
+            a, w = item[0], tval(item[1])
+            a = a if type(a) is tuple else _index(a, "an arc", pair=True)  # the record checks tuples
+            if w is INF:
+                dropped.append(a)
+            else:
+                clean[a] = w
+        if dropped:  # the record checks the arcs it keeps; these are checked on their own
+            cls(k, dict.fromkeys(dropped, Fraction(0)))
         return cls(k, clean)
 
     @classmethod
     def from_matrix(cls, m: TropicalMatrix) -> "WeightedDigraph":
         if not _instance(m, TropicalMatrix).is_square:
             raise ShapeError("weighted digraph needs a square matrix")
-        arcs = {
-            (i, j): x
-            for i, row in enumerate(m.entries, start=1)
-            for j, x in enumerate(row, start=1)
-            if x is not INF
-        }
-        return cls(m.rows, arcs)
+        return cls(m.rows, m._finite())
 
     def to_matrix(self) -> TropicalMatrix:
         return TropicalMatrix.make(
@@ -83,11 +98,6 @@ class WeightedDigraph(_Record):
     def zero_weights(self) -> "WeightedDigraph":
         """Same arc set, all weights zero (the digraph cone data)."""
         return WeightedDigraph(self.k, {a: Fraction(0) for a in self.arcs})
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedDigraph):
-            return NotImplemented
-        return self.k == other.k and dict(self.arcs) == dict(other.arcs)
 
     def __hash__(self):
         return hash((self.k, frozenset(self.arcs.items())))
@@ -194,6 +204,12 @@ def _scaled(weights: Mapping) -> tuple[int, dict]:
     return scale, {a: x.numerator * (scale // x.denominator) for a, x in weights.items()}
 
 
+def _rescaled(scale: int, pt: Sequence[TVal]) -> tuple[int, int, list]:
+    """(L', L' / scale, pt times L' as ints or INF): L' = lcm(scale, pt's denominators)."""
+    big = lcm(scale, *(c.denominator for c in pt if c is not INF))
+    return big, big // scale, [c if c is INF else c.numerator * (big // c.denominator) for c in pt]
+
+
 def _star(k: int, arcs: Mapping[tuple[int, int], int]) -> list[list[int | None]]:
     """All-pairs shortest distances over the int weights ``arcs`` on nodes 1..k.
 
@@ -259,7 +275,7 @@ def detect_negative_cycle(w: WeightedDigraph) -> list[int] | None:
     node sequence with the start repeated at the end.
     """
     try:
-        _star(_instance(w, WeightedDigraph).k, _scaled(w.arcs)[1])
+        _star(_instance(w, WeightedDigraph).k, w._ints[1])
     except InfeasibleError as exc:
         return exc.cycle
     return None
@@ -285,7 +301,7 @@ def kleene_star(w: WeightedDigraph) -> TropicalMatrix:
 
     The tropical power formula serves as an independent oracle in the tests.
     """
-    scale, arcs = _scaled(_instance(w, WeightedDigraph).arcs)
+    scale, arcs = _instance(w, WeightedDigraph)._ints
     rows = (tuple(INF if x is None else Fraction(x, scale) for x in r) for r in _star(w.k, arcs))
     return TropicalMatrix(w.k, w.k, tuple(rows))
 
@@ -296,15 +312,9 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
     Two nodes share a block iff they lie on a common zero-weight cycle,
     i.e. w*_ij = -w*_ji < inf.  The block count equals dim Q(W).
     """
-    dist = _star(_instance(w, WeightedDigraph).k, _scaled(w.arcs)[1])
-    pairs = [
-        (i + 1, j + 1)
-        for i in range(w.k)
-        for j in range(i + 1, w.k)
-        if (a := dist[i][j]) is not None
-        and (b := dist[j][i]) is not None
-        and a + b == 0
-    ]
+    dist = _star(_instance(w, WeightedDigraph).k, w._ints[1])
+    pairs = [(i + 1, j + 1) for i in range(w.k) for j in range(i + 1, w.k)
+             if (a := dist[i][j]) is not None and (b := dist[j][i]) is not None and a + b == 0]
     return NodePartition.make(w.k, weak_components(w.k, pairs))
 
 
@@ -347,9 +357,11 @@ def project(w: WeightedDigraph, deleted: Iterable[int]) -> WeightedDigraph:
         raise DomainError("projection index set out of range")
     if len(dset) == w.k:
         raise DomainError("cannot project away every coordinate")
-    star = kleene_star(w)
-    keep = [v for v in range(1, w.k + 1) if v not in dset]
-    return WeightedDigraph.from_matrix(star.submatrix(keep, keep))
+    scale, dist = w._ints[0], _star(w.k, w._ints[1])
+    keep = list(enumerate((v for v in range(w.k) if v + 1 not in dset), start=1))
+    arcs = {(a, b): Fraction(x, scale) for a, r in keep for b, c in keep
+            if (x := dist[r][c]) is not None}
+    return WeightedDigraph(len(keep), arcs)
 
 
 def membership(
@@ -361,15 +373,9 @@ def membership(
         raise ShapeError(f"point has length {len(pt)}, digraph has {w.k} nodes")
     if any(c is INF for c in pt):
         raise DomainError("membership needs a finite point")
-    ok = True
-    tight = set()
-    for (i, j), wt in w.arcs.items():
-        diff = pt[i - 1] - pt[j - 1]
-        if diff > wt:
-            ok = False
-        elif diff == wt:
-            tight.add((i, j))
-    return ok, frozenset(tight)
+    _, m, p = _rescaled(w._ints[0], pt)
+    slack = {(i, j): wt * m - p[i - 1] + p[j - 1] for (i, j), wt in w._ints[1].items()}
+    return min(slack.values(), default=0) >= 0, frozenset({a for a, s in slack.items() if not s})
 
 
 def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
@@ -379,7 +385,7 @@ def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
     of the columns is then tight precisely on the zero-cycle arcs.  A cycle
     through a big-M arc outweighs its other arcs, so it is never negative.
     """
-    return _completed_point(_instance(w, WeightedDigraph).k, *_scaled(w.arcs))
+    return _completed_point(_instance(w, WeightedDigraph).k, *w._ints)
 
 
 def _completed_point(k: int, scale: int, arcs: Mapping) -> tuple[Fraction, ...]:

@@ -12,6 +12,7 @@ simplices.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .digraph import (
@@ -30,7 +31,10 @@ from .semiring import INF, _Record, _bound, _index, _instance, _iterable, _posit
 
 
 class PointConfig(_Record):
-    """A d-by-n matrix over the tropical semiring, no all-infinite column."""
+    """A d-by-n matrix over the tropical semiring, no all-infinite column.
+
+    The walks and the point queries share the int view ``_ints``.
+    """
 
     v: TropicalMatrix
 
@@ -54,18 +58,14 @@ class PointConfig(_Record):
     def entry(self, i: int, j: int):
         return self.v.entry(i, j)
 
+    @cached_property
+    def _ints(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """``_scaled`` of the finite entries v_ij, keyed (i, j) in sorted order."""
+        return _scaled(self.v._finite())
+
     def support(self) -> "BipartiteSupportGraph":
         """B(V): the arcs (i,j) with a finite entry."""
-        return BipartiteSupportGraph(
-            self.d,
-            self.n,
-            frozenset(
-                (i, j)
-                for i, row in enumerate(self.v.entries, start=1)
-                for j, x in enumerate(row, start=1)
-                if x is not INF
-            ),
-        )
+        return BipartiteSupportGraph(self.d, self.n, frozenset(self._ints[1]))
 
     def column_support(self, j: int) -> frozenset[int]:
         c = _position(j, self.n, "column")
@@ -156,11 +156,8 @@ def envelope_digraph(v: PointConfig) -> WeightedDigraph:
     is an arc (i, d+j) of weight v_ij for each finite entry, and nothing
     else, so the digraph is structurally acyclic and always feasible.
     """
-    arcs = {
-        (i, v.d + j): v.v.entries[i - 1][j - 1]
-        for (i, j) in _instance(v, PointConfig).support().arcs
-    }
-    return WeightedDigraph(v.d + v.n, arcs)
+    arcs = _instance(v, PointConfig).v._finite()
+    return WeightedDigraph(v.d + v.n, {(i, v.d + j): x for (i, j), x in arcs.items()})
 
 
 def _on_face(v: PointConfig, g: BipartiteSupportGraph, solve):
@@ -172,10 +169,9 @@ def _on_face(v: PointConfig, g: BipartiteSupportGraph, solve):
     """
     if (_instance(g, BipartiteSupportGraph).d, g.n) != (_instance(v, PointConfig).d, v.n):
         raise ShapeError("graph shape does not match the configuration")
-    support = v.support().arcs
-    if not g.arcs <= support:
-        raise DomainError(f"arcs {sorted(g.arcs - support)} are not in the support of V")
-    scale, entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in sorted(support)})
+    scale, entries = v._ints
+    if not g.arcs <= entries.keys():
+        raise DomainError(f"arcs {sorted(g.arcs - entries.keys())} are not in the support of V")
     arcs = {(i, v.d + j): w for (i, j), w in entries.items()}
     arcs.update({(v.d + j, i): -entries[i, j] for i, j in g.arcs})
     try:
@@ -187,8 +183,8 @@ def _on_face(v: PointConfig, g: BipartiteSupportGraph, solve):
 # ---------------------------------------------------------------------------
 # Kleene stars of face digraphs: (d+n)-square lists of rows, where node r < d
 # is row r+1, node d+c is column c+1 and None is an infinite distance.  The
-# weights are the entries of V scaled to ints by ``digraph._scaled``.  Stars
-# share the rows an update leaves alone, so a row is never mutated in place.
+# weights are V's entries as the ints of ``PointConfig._ints``.  Stars share
+# the rows an update leaves alone, so a row is never mutated in place.
 
 
 def _tighten(star: list[list], r: int, c: int, w: int) -> list[list]:
@@ -291,7 +287,7 @@ def _walk(v: PointConfig, candidate_bound: int, cover=None, stop=False):
     ``stop``, an inclusion-minimal H is still reached, through graphs missing a column.
     """
     bound = _bound(candidate_bound, "a candidate bound")
-    arcs = sorted(_instance(v, PointConfig).support().arcs)
+    arcs = list(_instance(v, PointConfig)._ints[1])
     cover = set(arcs) if cover is None else cover
     return arcs, _climb(v, bound, arcs, cover, stop)
 
@@ -315,8 +311,7 @@ def _merged(labels: list[int], count: int, arcs: list[tuple[int, int]], d: int, 
 
 def _climb(v: PointConfig, candidate_bound: int, arcs, cover, stop: bool):
     minimal = _merged(list(range(v.d + v.n)), v.d + v.n, arcs, v.d, (1 << len(arcs)) - 1)[1]
-    entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})[1]
-    nodes = [(1 << b, i - 1, v.d + j - 1, entries[i, j]) for b, (i, j) in enumerate(arcs)]
+    nodes = [(1 << b, i - 1, v.d + j - 1, w) for b, ((i, j), w) in enumerate(v._ints[1].items())]
     # per column: the arcs that may cover it, as nodes, and the mask of their bits
     grow = [[x for x, a in zip(nodes, arcs) if a[1] == j + 1 and a in cover] for j in range(v.n)]
     grow = [(sum(x[0] for x in col), col) for col in grow]
@@ -410,7 +405,7 @@ def _vertices(v: PointConfig, bound: int):
     """(arcs, components, L, walk): V's sorted support arcs and a walk over its envelope's vertices.
 
     ``components`` is the support's weak-component count and L the scale of
-    ``digraph._scaled``.  ``walk`` yields each vertex once as (G, p, edges):
+    ``PointConfig._ints``.  ``walk`` yields each vertex once as (G, p, edges):
     its tight graph, its point, and a list of one (B, E, H) per ray B of G's
     digraph cone, where E is the tight graph of the edge, G's arcs that do
     not enter B, and H that of the next vertex, or None for an unbounded
@@ -433,9 +428,8 @@ def _vertices(v: PointConfig, bound: int):
     Rather than hold more than ``bound`` vertices, found or pending, it raises.
     """
     bound = _bound(bound, "a candidate bound")
-    arcs = sorted(_instance(v, PointConfig).support().arcs)
-    d, k = v.d, v.d + v.n
-    scale, entries = _scaled({(i, j): v.v.entries[i - 1][j - 1] for i, j in arcs})
+    scale, entries = _instance(v, PointConfig)._ints
+    arcs, d, k = list(entries), v.d, v.d + v.n
     ends = [(i - 1, d + j - 1, entries[i, j]) for i, j in arcs]
     pairs = [(r, c) for r, c, _ in ends]
     # per node: the arcs leaving it (a row) or entering it (a column)

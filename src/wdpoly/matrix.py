@@ -12,7 +12,7 @@ from functools import cached_property, reduce
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import CapabilityError, ShapeError
+from .errors import CapabilityError, ShapeError, ValueTypeError
 from .semiring import INF, TVal, _bound, _index, _iterable, _position, tadd, tmul, tsum, tval
 from .semiring import _Record, _instance
 
@@ -24,18 +24,21 @@ class TropicalMatrix(_Record):
     cols: int
     entries: tuple[tuple[TVal, ...], ...]
 
+    def __post_init__(self):
+        """Refuse what ``make`` refuses: a shape below 1x1, a ragged row, an inexact value."""
+        rows, cols = _index(self.rows, "a row count"), _index(self.cols, "a column count")
+        if len(self.entries) != rows or {cols} != set(map(len, self.entries)) or not cols:
+            raise ShapeError(f"expected {rows} rows of {cols} entries, at least one of each")
+        if not {Fraction, type(INF)}.issuperset(map(type, itertools.chain(*self.entries))):
+            raise ValueTypeError("entries must be Fractions or INF; make coerces other values")
+
     @classmethod
     def make(cls, data: Iterable[Iterable]) -> "TropicalMatrix":
         rows = tuple(
             tuple(tval(x) for x in _iterable(row, "a matrix row"))
             for row in _iterable(data, "a matrix")
         )
-        if not rows or not rows[0]:
-            raise ShapeError("matrix dimensions must be at least 1x1")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ShapeError("ragged rows in matrix literal")
-        return cls(len(rows), width, rows)
+        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def identity(cls, k: int) -> "TropicalMatrix":
@@ -54,6 +57,11 @@ class TropicalMatrix(_Record):
     def col(self, j: int) -> tuple[TVal, ...]:
         c = _position(j, self.cols, "column")
         return tuple(r[c] for r in self.entries)
+
+    def _finite(self) -> dict[tuple[int, int], TVal]:
+        """The finite entries, keyed by their 1-based (row, column) in sorted order."""
+        rows = enumerate(self.entries, start=1)
+        return {(i, j): x for i, r in rows for j, x in enumerate(r, start=1) if x is not INF}
 
     @property
     def is_square(self) -> bool:

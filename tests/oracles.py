@@ -21,6 +21,8 @@ filtering every torus cell, pureness from every cell of the system, and
 the SVG of a 3-row configuration from every torus cell with one
 projected face and one recession cone per 1-cell (``render_svg_by_cells``;
 the library draws the vertices and edges of the envelope's vertex walk).
+Projections, digraph membership and covector graphs are also computed in
+Fraction arithmetic (the library scales every weight and point to ints).
 Only names that ``wdpoly`` exports are used, so no oracle shares a
 private helper with the library.
 """
@@ -151,6 +153,25 @@ def kleene_by_powers(w: WeightedDigraph) -> TropicalMatrix:
     for _ in range(w.k):
         out = trop_mat_mul(out, m)
     return out
+
+
+def project_by_submatrix(w: WeightedDigraph, deleted) -> WeightedDigraph:
+    """The digraph of the kept rows and columns of ``kleene_by_powers``; W must be feasible."""
+    keep = [v for v in range(1, w.k + 1) if v not in set(deleted)]
+    return WeightedDigraph.from_matrix(kleene_by_powers(w).submatrix(keep, keep))
+
+
+def membership_by_fractions(w: WeightedDigraph, x) -> tuple[bool, frozenset[tuple[int, int]]]:
+    """Whether the finite point x lies in Q(W), and its tight arcs, by Fraction differences."""
+    pt = [tval(c) for c in x]
+    ok, tight = True, set()
+    for (i, j), wt in w.arcs.items():
+        diff = pt[i - 1] - pt[j - 1]
+        if diff > wt:
+            ok = False
+        elif diff == wt:
+            tight.add((i, j))
+    return ok, frozenset(tight)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +614,12 @@ def residuation_member(v: PointConfig, z) -> bool:
     precisely on cone members.
     """
     coords = tuple(tval(c) for c in z)
+    return trop_combination(v, residuation_multipliers(v, coords)) == coords
+
+
+def residuation_multipliers(v: PointConfig, z) -> tuple[TVal, ...]:
+    """The canonical multipliers lambda_j = max_i (z_i - v_ij) over finite v_ij, by Fractions."""
+    coords = tuple(tval(c) for c in z)
     lam = []
     for j in range(1, v.n + 1):
         best = None
@@ -608,7 +635,25 @@ def residuation_member(v: PointConfig, z) -> bool:
             if best is None or (best is not INF and cand > best):
                 best = cand
         lam.append(best if best is not None else INF)
-    return trop_combination(v, lam) == coords
+    return tuple(lam)
+
+
+def covector_by_argmin(v: PointConfig, x) -> BipartiteSupportGraph:
+    """The covector graph of any point, by Fraction differences.
+
+    Per column j: the rows of its support where x is infinite, if there
+    are any, and else the rows that minimise v_ij - x_i.
+    """
+    pt = [tval(c) for c in x]
+    arcs = set()
+    for j in range(1, v.n + 1):
+        supp = sorted(v.column_support(j))
+        rows = [i for i in supp if pt[i - 1] is INF]
+        if not rows:
+            vals = [v.entry(i, j) - pt[i - 1] for i in supp]
+            rows = [i for i, val in zip(supp, vals) if val == min(vals)]
+        arcs.update((i, j) for i in rows)
+    return BipartiteSupportGraph(v.d, v.n, frozenset(arcs))
 
 
 # ---------------------------------------------------------------------------

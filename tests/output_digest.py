@@ -1,0 +1,119 @@
+"""Print a SHA-256 digest of the reprs of seeded query results.
+
+Run from the root of a checkout, against the source tree to test::
+
+    PYTHONPATH=src python tests/output_digest.py [count]
+
+Two trees that print the same digest return the same values, and raise the
+same errors, on these inputs.  There are ``count`` (default 3000) seeded
+digraphs and as many configurations, with denominators 1, 3 or 97, ``INF``
+entries and ``INF`` point coordinates.  Half of the configuration points lie
+on ties: they are tropical combinations of the columns.  The digraph queries
+are ``detect_negative_cycle``, ``kleene_star``, ``project``,
+``equality_partition``, ``interior_point`` and ``membership``, and the point
+queries are ``covector_of_point``, ``tcone_membership`` and
+``halfspace_membership``.  Every tenth configuration also gets the walks
+``enumerate_cells`` and ``regular_subdivision``.  Only public names are used,
+so the script runs on any tree of the package.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from fractions import Fraction
+
+from wdpoly import (
+    INF,
+    BipartiteSupportGraph,
+    HalfspaceSystem,
+    PointConfig,
+    ProjectivePoint,
+    TropicalError,
+    WeightedDigraph,
+    covector_of_point,
+    detect_negative_cycle,
+    enumerate_cells,
+    equality_partition,
+    halfspace_membership,
+    interior_point,
+    kleene_star,
+    membership,
+    project,
+    regular_subdivision,
+    tcone_membership,
+)
+
+
+def _value(rng, den):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, den) if den > 1 else 1)
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except TropicalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digraph_results(rng):
+    k, den = rng.randint(1, 7), rng.choice((1, 3, 97))
+    arcs = {(i, j): _value(rng, den) for i in range(1, k + 1) for j in range(1, k + 1)
+            if rng.random() < 0.4}
+    w = WeightedDigraph.make(k, arcs)
+    deleted = rng.sample(range(1, k + 1), rng.randint(0, k - 1))
+    point = [_value(rng, rng.choice((1, 3, 97))) for _ in range(k)]
+    out = [_outcome(f, w) for f in (detect_negative_cycle, kleene_star, equality_partition)]
+    out.append(_outcome(project, w, deleted))
+    inner = _outcome(interior_point, w)
+    out += [inner, _outcome(membership, w, point)]
+    if detect_negative_cycle(w) is None:
+        out.append(_outcome(membership, w, interior_point(w)))
+    return out
+
+
+def config_results(rng, walks):
+    d, n, den = rng.randint(1, 4), rng.randint(1, 5), rng.choice((1, 3, 97))
+    cols = []
+    while len(cols) < n:
+        col = [INF if rng.random() < 0.25 else _value(rng, den) for _ in range(d)]
+        if any(x is not INF for x in col):
+            cols.append(col)
+    v = PointConfig.make([[cols[j][i] for j in range(n)] for i in range(d)])
+    if rng.random() < 0.5:  # a tropical combination of the columns: ties in its covector
+        lam = [INF if rng.random() < 0.15 else _value(rng, den) for _ in range(n)]
+        z = [min((c[i] + m for c, m in zip(cols, lam) if c[i] is not INF and m is not INF),
+                 default=INF) for i in range(d)]
+    else:
+        z = [INF if rng.random() < 0.2 else _value(rng, rng.choice((1, 3, 97))) for _ in range(d)]
+    if all(x is INF for x in z):
+        z[0] = Fraction(0)
+    finite = [Fraction(0) if x is INF else x for x in z]
+    psi = {(i, j) for j, col in enumerate(cols, 1)
+           for i in [rng.choice([i for i, x in enumerate(col, 1) if x is not INF])]}
+    psi |= {(i, j) for j, col in enumerate(cols, 1) for i, x in enumerate(col, 1)
+            if x is not INF and rng.random() < 0.4}
+    h = HalfspaceSystem.make(v, BipartiteSupportGraph.make(d, n, psi))
+    out = [
+        _outcome(covector_of_point, v, finite),
+        _outcome(tcone_membership, v, ProjectivePoint.make(z)),
+        _outcome(halfspace_membership, h, z),
+        _outcome(halfspace_membership, h, finite),
+    ]
+    if walks:
+        out += [_outcome(enumerate_cells, v), _outcome(regular_subdivision, v)]
+    return out
+
+
+def main(count: int) -> str:
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    for t in range(count):
+        for line in digraph_results(rng) + config_results(rng, t % 10 == 0):
+            digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    print(main(int(sys.argv[1]) if len(sys.argv) > 1 else 3000))

@@ -62,12 +62,14 @@ from wdpoly import (
 from oracles import (
     cells_of_halfspace_by_filter,
     closed_sector_by_inequalities,
+    covector_by_argmin,
     lower_hull_cells,
     membership_against,
     projective_decomposition_by_subconfigs,
     pure_by_maximal_cells,
     random_config,
     residuation_member,
+    residuation_multipliers,
     signed_cells_by_signs,
     subdivision_dimension,
     trop_combination,
@@ -228,6 +230,56 @@ def test_tcone_membership_matches_residuation_oracle():
             at_infinity.add(ok)
         checked += 1
     assert at_infinity == {True, False}
+
+
+@st.composite
+def _configs_and_points(draw):
+    """Up to 4x5 with denominators up to 97 and INF entries, a selection psi, and a point
+    with INF coordinates: drawn, or a tropical combination of the columns, which plants
+    ties x_i - x_l = v_ij - v_lj in its covector."""
+    d = draw(st.integers(1, 4))
+    rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 97))
+    entry = st.one_of(rational, rational, st.just(INF))
+    column = st.lists(entry, min_size=d, max_size=d).filter(lambda c: any(x is not INF for x in c))
+    cols = draw(st.lists(column, min_size=1, max_size=5))
+    v = PointConfig.make([[c[i] for c in cols] for i in range(d)])
+    psi = set()
+    for j in range(1, v.n + 1):
+        rows = sorted(v.column_support(j))
+        psi.update((i, j) for i in draw(st.sets(st.sampled_from(rows), min_size=1)))
+    if draw(st.booleans()):
+        z = list(trop_combination(v, draw(st.lists(entry, min_size=v.n, max_size=v.n))))
+    else:
+        z = draw(st.lists(entry, min_size=d, max_size=d))
+    if all(c is INF for c in z):
+        z[draw(st.integers(0, d - 1))] = draw(rational)
+    return HalfspaceSystem.make(v, G(v.d, v.n, psi)), z
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs_and_points())
+@example((HalfspaceSystem.make(PointConfig.make([["1/97", "1/89"], ["1/3", "inf"]]),
+                               G(2, 2, [(1, 1), (1, 2)])), [Fraction(1, 97) - Fraction(1, 3), 0]))
+def test_int_point_queries_match_the_fraction_oracles(case):
+    h, z = case
+    v, point = h.config, ProjectivePoint.make(z)
+    finite = [Fraction(0) if c is INF else c for c in z]
+    assert covector_of_point(v, finite) == covector_by_argmin(v, finite)
+    ok, lam = tcone_membership(v, point)
+    assert lam == residuation_multipliers(v, point.coords)
+    assert ok == residuation_member(v, point.coords)
+    for x in (z, finite):
+        rows = covector_by_argmin(v, x)
+        covered = all(set(rows.col_neighbors(j)) & set(h.psi.col_neighbors(j))
+                      for j in range(1, v.n + 1))
+        assert halfspace_membership(h, x) == covered
+    assert halfspace_membership(h, finite) == membership_against(v, h.psi, finite)
+    # one column at a time: the closed sectors of each apex, at points with INF coordinates
+    for j in range(1, v.n + 1):
+        apex = PointConfig.make([[x] for x in v.v.col(j)])
+        seen = covector_by_argmin(apex, point.coords).col_neighbors(1)
+        for i in v.column_support(j):
+            assert closed_sector_membership(point, v.v.col(j), i) == (i in seen)
 
 
 def test_tcone_membership_golden():

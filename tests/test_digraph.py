@@ -38,9 +38,11 @@ from oracles import (
     bellman_ford_cycle,
     interior_point_by_dense_completion,
     kleene_by_powers,
+    membership_by_fractions,
     min_cycle_weight,
     nx_digraph,
     nx_partition_qualifies,
+    project_by_submatrix,
     random_digraph,
     rays_by_subsets,
 )
@@ -240,6 +242,37 @@ def test_projection_golden_and_membership():
         x = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
         if membership(w, x)[0]:
             assert membership(p, x[:2])[0]
+
+
+@st.composite
+def _digraphs_and_points(draw):
+    """k <= 7 nodes, weights p/q with q up to 97, a finite point, drawn or planted on a
+    tie x_i - x_j = w_ij of one arc, and the nodes a projection deletes."""
+    k = draw(st.integers(1, 7))
+    node = st.integers(1, k)
+    rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 97))
+    arcs = draw(st.dictionaries(st.tuples(node, node), rational, max_size=k * k))
+    w, x = WeightedDigraph.make(k, arcs), draw(st.lists(rational, min_size=k, max_size=k))
+    if w.arcs and draw(st.booleans()):
+        (i, j), wt = draw(st.sampled_from(sorted(w.arcs.items())))
+        if i != j:
+            x[j - 1] = x[i - 1] - wt
+    return w, x, draw(st.sets(node, max_size=k - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs_and_points())
+@example((WeightedDigraph.make(2, {(1, 2): "1/97", (2, 1): "-1/97"}), ["1/3", "94/291"], {1}))
+def test_int_membership_and_projection_match_the_fraction_oracles(case):
+    w, x, deleted = case
+    assert membership(w, x) == membership_by_fractions(w, x)
+    if detect_negative_cycle(w) is not None:
+        return
+    # the interior point is tight exactly on the arcs of zero-weight cycles
+    inner = interior_point(w)
+    assert membership(w, inner) == membership_by_fractions(w, inner)
+    got, want = project(w, deleted), project_by_submatrix(w, deleted)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_project_validates_index_sets():

@@ -12,11 +12,15 @@ from wdpoly import (
     CapabilityError,
     DomainError,
     PointConfig,
+    TropicalError,
     ShapeError,
     TropicalMatrix,
     ValueTypeError,
     WeightedDigraph,
+    enumerate_cells,
     is_generic,
+    kleene_star,
+    membership,
     trop_det,
     trop_mat_mul,
 )
@@ -38,6 +42,49 @@ def test_make_rejects_ragged_and_empty():
         M([[1, 2], [3]])
     with pytest.raises(ShapeError):
         M([])
+
+
+_F, _TM, _WD = Fraction, TropicalMatrix, WeightedDigraph
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: trop_mat_mul(_TM(1, 1, ((0.5,),)), _TM(1, 1, ((0.25,),))),
+                     ValueTypeError, id="float entries"),
+        pytest.param(lambda: _TM(1, 1, ((0,),)), ValueTypeError, id="int entry"),
+        pytest.param(lambda: _TM(2, 2, ((_F(0),), (_F(0), _F(0)))), ShapeError, id="ragged"),
+        pytest.param(lambda: _TM(2, 1, ((_F(0),),)), ShapeError, id="a row missing"),
+        pytest.param(lambda: _TM(0, 0, ()), ShapeError, id="0x0"),
+        pytest.param(lambda: _TM(1, 0, ((),)), ShapeError, id="1x0"),
+        pytest.param(lambda: _TM(1.0, 1, ((_F(0),),)), ValueTypeError, id="row count 1.0"),
+        pytest.param(lambda: enumerate_cells(PointConfig(_TM(2, 2, ((0.5, 0.25), (0, 0))))),
+                     ValueTypeError, id="configuration of floats"),
+        pytest.param(lambda: membership(_WD(2, {(1, 2): 0.5}), [0, 0]),
+                     ValueTypeError, id="float weight"),
+        pytest.param(lambda: _WD(2, {(1, 2): INF}), ValueTypeError, id="INF weight"),
+        pytest.param(lambda: _WD(2, {(1, 2): 1}), ValueTypeError, id="int weight"),
+        pytest.param(lambda: kleene_star(_WD(2, {(1, 5): _F(1)})), DomainError, id="arc (1,5)"),
+        pytest.param(lambda: _WD(2, {(0, 1): _F(1)}), DomainError, id="arc (0,1)"),
+        pytest.param(lambda: _WD(2, {(3, 1): _F(1)}), DomainError, id="arc (3,1)"),
+        pytest.param(lambda: WeightedDigraph.make(2, {(1, 3): "inf"}), DomainError, id="arc (1,3) of INF"),
+        pytest.param(lambda: _WD(2, {(True, 2): _F(1)}), ValueTypeError, id="arc (True,2)"),
+        pytest.param(lambda: _WD(2, {(1, 2, 1): _F(1)}), ValueTypeError, id="arc (1,2,1)"),
+        pytest.param(lambda: _WD(2, {1: _F(1)}), ValueTypeError, id="arc 1"),
+        pytest.param(lambda: _WD(2, [((1, 2), _F(1))]), ValueTypeError, id="arc list"),
+        pytest.param(lambda: _WD(0, {}), ShapeError, id="0 nodes"),
+        pytest.param(lambda: _WD(True, {}), ValueTypeError, id="True nodes"),
+    ],
+)
+def test_the_constructors_refuse_what_make_refuses(build, error):
+    with pytest.raises(error):
+        build()
+    assert issubclass(error, TropicalError)
+    # what make builds passes the constructor unchanged
+    m = M([[0, "inf"], ["1/3", -2]])
+    assert TropicalMatrix(*[getattr(m, f) for f in m._fields]) == m
+    w = WeightedDigraph.make(2, {(1, 2): "1/3", (2, 2): -1, (2, 1): "inf"})
+    assert WeightedDigraph(w.k, dict(w.arcs)) == w
 
 
 def test_identity_is_multiplicative_unit():

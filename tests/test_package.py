@@ -71,6 +71,7 @@ SAMPLES = {
     "Iterable[int]": [1],
     "Iterable[str] | str": "+-",
     "Iterable[tuple[int, int]]": [(1, 2)],
+    "Mapping[tuple[int, int], Fraction]": dict(W.arcs),
     "Mapping[tuple[int, int], object] | Iterable": {(1, 2): 1},
     "NodePartition": NodePartition.make(2, [[1, 2]]),
     "PointConfig": V,
@@ -86,6 +87,7 @@ SAMPLES = {
     "WeightedDigraph": W,
     "int": 2,
     "tuple[TVal, ...]": (0, 0),
+    "tuple[tuple[TVal, ...], ...]": V.v.entries,
     inspect.Parameter.empty: "0",
 }
 # min, + and min over an iterable run per matrix entry, so they take their values unchecked

@@ -20,7 +20,12 @@ from wdpoly import (
     TropicalMatrix,
     WeightedDigraph,
     cone_face_lattice,
+    covector_of_point,
     enumerate_cells,
+    kleene_star,
+    membership,
+    regular_subdivision,
+    tcone_membership,
     trop_det,
 )
 from wdpoly.semiring import _Record
@@ -154,6 +159,38 @@ def test_a_determinant_caches_its_permutations():
     # the cached listing is no field: a fresh determinant of the same matrix is equal
     fresh = trop_det(TropicalMatrix.make([[0, 0], [0, 0]]))
     assert fresh == r and hash(fresh) == hash(r)
+
+
+def test_the_int_view_of_a_digraph_or_configuration_is_no_field():
+    def digraph():
+        return WeightedDigraph.make(3, {(1, 2): "1/3", (2, 3): "-1/97", (3, 1): 2})
+
+    def config():
+        return PointConfig.make([["1/3", "inf", 0], [0, "5/97", 1]])
+
+    def query_digraph(w):
+        kleene_star(w)
+        membership(w, [0, "1/2", 1])
+
+    def query_config(v):
+        covector_of_point(v, [0, "1/7"])
+        tcone_membership(v, ProjectivePoint.make(["inf", 0]))
+        # the walks read the view too, and the cells they return stay slotted
+        assert not hasattr(enumerate_cells(v)[0], "__dict__")
+        assert not hasattr(regular_subdivision(v)[0], "__dict__")
+
+    for make, query in ((digraph, query_digraph), (config, query_config)):
+        record = make()
+        query(record)
+        view = vars(record)["_ints"]  # kept after the first query, and read again
+        query(record)
+        assert record._ints is view
+        fresh = make()
+        assert record == fresh and fresh == record and hash(record) == hash(fresh)
+        assert repr(record) == repr(fresh)
+        assert pickle.dumps(record) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert twin == fresh and "_ints" not in vars(twin)
 
 
 def test_a_record_class_leaves_no_field_out_of_equality():
