@@ -16,12 +16,12 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .digraph import WeightedDigraph, _flood, _masks, _parts, _rescaled
+from .digraph import WeightedDigraph, _flood, _masks, _parts, _rescaled, _scaled
 from .envelope import BipartiteSupportGraph, CovectorGraph, PointConfig, interior_point_of_face
 from .envelope import _arcs_of, _walk
-from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError
+from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError, ValueTypeError
 from .semiring import INF, TVal, _bound, _index, _instance, _iterable, _position, is_finite, tpoint
-from .semiring import _Record
+from .semiring import _point, _Record
 
 
 # ---------------------------------------------------------------------------
@@ -46,19 +46,15 @@ class Sector(_Record):
 
     def digraph(self) -> WeightedDigraph:
         """The sector as a weighted digraph polyhedron on [d]."""
-        d = len(self.apex)
-        i = self.index
-        ui = self.apex[i - 1]
-        arcs = {
-            (l, i): self.apex[l - 1] - ui
-            for l in range(1, d + 1)
-            if l != i and is_finite(self.apex[l - 1])
-        }
-        return WeightedDigraph(d, arcs)
+        i, ui = self.index, self.apex[self.index - 1]
+        arcs = {(l, i): u - ui for l, u in enumerate(self.apex, start=1) if l != i and is_finite(u)}
+        return WeightedDigraph(len(self.apex), arcs)
 
     def contains(self, x: Sequence) -> bool:
-        """Whether x lies in the closed sector, points at infinity included."""
-        return closed_sector_membership(ProjectivePoint.make(x), self.apex, self.index)
+        """Whether x lies in the closed sector, points at infinity included: the covector rule."""
+        pt = _point(x, len(self.apex), "apex dimension does not match the point")
+        view = _scaled({(l, 1): u for l, u in enumerate(self.apex, start=1) if u is not INF})
+        return self.index in _covector(view, 1, pt)[2][0]
 
 
 class ProjectivePoint(_Record):
@@ -69,12 +65,17 @@ class ProjectivePoint(_Record):
 
     coords: tuple[TVal, ...]
 
+    def __post_init__(self):
+        """Refuse what ``make`` refuses: a value other than a Fraction or INF, no finite one."""
+        if not {Fraction, type(INF)}.issuperset(map(type, _instance(self.coords, tuple))):
+            raise ValueTypeError("coordinates must be Fractions or INF; make coerces other values")
+        if all(c is INF for c in self.coords):
+            raise DomainError("projective point needs at least one finite coordinate")
+
     @classmethod
     def make(cls, coords: Iterable) -> "ProjectivePoint":
         raw = tpoint(coords)
-        shift = next((c for c in raw if c is not INF), None)
-        if shift is None:
-            raise DomainError("projective point needs at least one finite coordinate")
+        shift = next((c for c in raw if c is not INF), 0)
         return cls(tuple(c - shift if c is not INF else INF for c in raw))
 
     @property
@@ -82,9 +83,7 @@ class ProjectivePoint(_Record):
         return len(self.coords)
 
     def support(self) -> frozenset[int]:
-        return frozenset(
-            i for i, c in enumerate(self.coords, start=1) if c is not INF
-        )
+        return frozenset(i for i, c in enumerate(self.coords, start=1) if c is not INF)
 
     def is_finite(self) -> bool:
         return len(self.support()) == self.d
@@ -93,33 +92,29 @@ class ProjectivePoint(_Record):
 def closed_sector_membership(z: ProjectivePoint, u: Sequence[TVal], i: int) -> bool:
     """Whether z lies in the compactified i-th sector of apex u.
 
-    That is the covector rule for the one-column configuration u: the arc
-    (i, 1) is in the covector graph of z.
+    That is ``Sector(u, i).contains(z.coords)``.
     """
     u = tpoint(u)
     if len(u) != _instance(z, ProjectivePoint).d:
         raise ShapeError("apex dimension does not match the point")
-    _position(i, z.d, "sector")
-    if u[i - 1] is INF:
-        raise DomainError(f"index {i} is not in the support of the apex")
-    return i in _covector(PointConfig.make([[x] for x in u]), z.coords)[2][0]
+    return Sector(u, i).contains(z.coords)
 
 
 # ---------------------------------------------------------------------------
 # covectors of points and tropical cone membership
 
 
-def _covector(v: PointConfig, pt: Sequence[TVal]) -> tuple[int, list, list[list[int]]]:
+def _covector(view: tuple, n: int, pt: Sequence[TVal]) -> tuple[int, list, list[list[int]]]:
     """The covector of any point: (L', each column's max of pt_i - v_ij times L', its argmax rows).
 
     Row i attains column j's max, the argmin of v_ij - pt_i, iff pt lies in
-    the closed sector i of apex j.  V's int view and pt are compared as ints
-    scaled by ``digraph._rescaled``.  An infinite pt_i gives INF, so a column
-    whose support meets an infinite coordinate is attained exactly there.
+    the closed sector i of apex j.  V's int ``view`` of n columns and pt are compared as
+    ints scaled by ``digraph._rescaled``, so adding a constant to pt changes only the maxima.
+    An infinite pt_i gives INF, so a column whose support meets one is attained exactly there.
     """
-    scale, ints = v._ints
+    scale, ints = view
     big, m, p = _rescaled(scale, pt)
-    top, rows = [None] * v.n, [None] * v.n
+    top, rows = [None] * n, [None] * n
     for (i, j), x in ints.items():
         y = p[i - 1]
         if y is not INF:
@@ -134,12 +129,9 @@ def _covector(v: PointConfig, pt: Sequence[TVal]) -> tuple[int, list, list[list[
 
 def covector_of_point(v: PointConfig, x: Sequence) -> CovectorGraph:
     """The covector graph of a finite point: per column, the argmin rows of v_ij - x_i."""
-    pt = tpoint(x)
-    if len(pt) != _instance(v, PointConfig).d:
-        raise ShapeError(f"point has length {len(pt)}, configuration has d={v.d}")
-    if any(c is INF for c in pt):
-        raise DomainError("covector_of_point needs a finite point")
-    arcs = {(i, j) for j, rows in enumerate(_covector(v, pt)[2], start=1) for i in rows}
+    pt = _point(x, _instance(v, PointConfig).d, "point has length {}, configuration has d={}",
+                "covector_of_point")
+    arcs = {(i, j) for j, rows in enumerate(_covector(v._ints, v.n, pt)[2], start=1) for i in rows}
     return BipartiteSupportGraph(v.d, v.n, frozenset(arcs))
 
 
@@ -154,7 +146,7 @@ def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TV
     """
     if _instance(z, ProjectivePoint).d != _instance(v, PointConfig).d:
         raise ShapeError("point dimension does not match the configuration")
-    big, top, rows = _covector(v, z.coords)
+    big, top, rows = _covector(v._ints, v.n, z.coords)
     lam = tuple(t if t is INF else Fraction(t, big) for t in top)
     return z.support() <= {i for r in rows for i in r}, lam
 
@@ -268,12 +260,14 @@ class SignVector(_Record):
 
     signs: tuple[str, ...]
 
+    def __post_init__(self):
+        """Refuse what ``make`` refuses: a sign other than '+' or '-'."""
+        if any(s not in ("+", "-") for s in _instance(self.signs, tuple)):
+            raise DomainError("signs must be '+' or '-'")
+
     @classmethod
     def make(cls, spec: Iterable[str] | str) -> "SignVector":
-        signs = tuple(spec if isinstance(spec, str) else _iterable(spec, "signs"))
-        if any(s not in ("+", "-") for s in signs):
-            raise DomainError("signs must be '+' or '-'")
-        return cls(signs)
+        return cls(tuple(spec if isinstance(spec, str) else _iterable(spec, "signs")))
 
     @classmethod
     def all_plus(cls, n: int) -> "SignVector":
@@ -303,12 +297,10 @@ class HalfspaceSystem(_Record):
         psi = _instance(self.psi, BipartiteSupportGraph)
         if (psi.d, psi.n) != (v.d, v.n):
             raise ShapeError("selection shape does not match the configuration")
-        support = v.support().arcs
-        if not psi.arcs <= support:
+        if not psi.arcs <= v._ints[1].keys():
             raise DomainError("selected sectors must have finite apex coordinates")
-        for j in range(1, v.n + 1):
-            if not psi.col_neighbors(j):
-                raise DomainError(f"column {j} selects no sector")
+        if missing := set(range(1, v.n + 1)).difference(j for _, j in psi.arcs):
+            raise DomainError(f"column {min(missing)} selects no sector")
 
     @classmethod
     def make(
@@ -350,10 +342,8 @@ def halfspace_membership(h: HalfspaceSystem, x: Sequence) -> bool:
     its covector graph keeps an arc inside psi in every column.  The
     point may have infinite coordinates, but not only those.
     """
-    z = ProjectivePoint.make(x)
-    if z.d != _instance(h, HalfspaceSystem).config.d:
-        raise ShapeError("point dimension mismatch")
-    rows = _covector(h.config, z.coords)[2]
+    v = _instance(h, HalfspaceSystem).config
+    rows = _covector(v._ints, v.n, _point(x, v.d, "point dimension mismatch"))[2]
     return all(any((i, j) in h.psi.arcs for i in r) for j, r in enumerate(rows, start=1))
 
 

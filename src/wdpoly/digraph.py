@@ -27,7 +27,7 @@ from .errors import (
 )
 from .matrix import TropicalMatrix
 from .semiring import INF, TVal, _Record, _bound, _index, _instance, _iterable, _position
-from .semiring import tpoint, tval
+from .semiring import _point, tval
 
 
 class WeightedDigraph(_Record):
@@ -109,16 +109,20 @@ class NodePartition(_Record):
     k: int
     blocks: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        """Refuse what ``make`` refuses: a node that is no int, or no partition of 1..k."""
+        nodes = [i for b in _instance(self.blocks, tuple) for i in _instance(b, tuple)]
+        if not {int}.issuperset(map(type, nodes)):
+            raise ValueTypeError("nodes must be ints; make coerces the blocks")
+        if sorted(nodes) != list(range(1, _index(self.k, "a node count") + 1)) or () in self.blocks:
+            raise DomainError("blocks must partition 1..k")
+
     @classmethod
     def make(cls, k: int, blocks: Iterable[Iterable[int]]) -> "NodePartition":
-        normalized = sorted(
+        return cls(k, tuple(sorted(
             tuple(sorted(_index(i, "a node") for i in _iterable(b, "a block")))
             for b in _iterable(blocks, "blocks")
-        )
-        seen = [i for b in normalized for i in b]
-        if sorted(seen) != list(range(1, _index(k, "a node count") + 1)):
-            raise DomainError("blocks must partition 1..k")
-        return cls(k, tuple(normalized))
+        )))
 
     def block_of(self, i: int) -> tuple[int, ...]:
         i = _index(i, "a node")
@@ -131,10 +135,7 @@ class NodePartition(_Record):
         """True if every block of self lies inside a block of other."""
         if _instance(other, NodePartition).k != self.k:
             raise ShapeError("refinement needs partitions of the same node count")
-        lookup = {}
-        for idx, b in enumerate(other.blocks):
-            for i in b:
-                lookup[i] = idx
+        lookup = {i: idx for idx, b in enumerate(other.blocks) for i in b}
         return all(len({lookup[i] for i in b}) == 1 for b in self.blocks)
 
     def __len__(self):
@@ -368,11 +369,8 @@ def membership(
     w: WeightedDigraph, x: Sequence
 ) -> tuple[bool, frozenset[tuple[int, int]]]:
     """Whether the finite point x lies in Q(W), plus the arcs attained with equality."""
-    pt = tpoint(x)
-    if len(pt) != _instance(w, WeightedDigraph).k:
-        raise ShapeError(f"point has length {len(pt)}, digraph has {w.k} nodes")
-    if any(c is INF for c in pt):
-        raise DomainError("membership needs a finite point")
+    pt = _point(x, _instance(w, WeightedDigraph).k, "point has length {}, digraph has {} nodes",
+                "membership")
     _, m, p = _rescaled(w._ints[0], pt)
     slack = {(i, j): wt * m - p[i - 1] + p[j - 1] for (i, j), wt in w._ints[1].items()}
     return min(slack.values(), default=0) >= 0, frozenset({a for a, s in slack.items() if not s})
@@ -551,16 +549,10 @@ def acyclic_reduction(gamma: WeightedDigraph) -> tuple[WeightedDigraph, NodePart
     """
     comps = strong_components(_instance(gamma, WeightedDigraph).k, gamma.arcs)
     part = NodePartition.make(gamma.k, comps)
-    idx = {}
-    for t, b in enumerate(part.blocks, start=1):
-        for v in b:
-            idx[v] = t
+    idx = {v: t for t, b in enumerate(part.blocks, start=1) for v in b}
     arcs: dict[tuple[int, int], Fraction] = {}
     for (i, j), wt in gamma.arcs.items():
-        bi, bj = idx[i], idx[j]
-        if bi == bj:
-            continue
-        key = (bi, bj)
-        if key not in arcs or wt < arcs[key]:
+        key = (idx[i], idx[j])
+        if key[0] != key[1] and (key not in arcs or wt < arcs[key]):
             arcs[key] = wt
     return WeightedDigraph(len(part.blocks), arcs), part

@@ -96,11 +96,11 @@ class BipartiteSupportGraph(_Record):
         return cls(d, n, aset)
 
     def row_neighbors(self, i: int) -> tuple[int, ...]:
-        i = _index(i, "a row")
+        i = _position(i, self.d, "row") + 1
         return tuple(sorted(j for (a, j) in self.arcs if a == i))
 
     def col_neighbors(self, j: int) -> tuple[int, ...]:
-        j = _index(j, "a column")
+        j = _position(j, self.n, "column") + 1
         return tuple(sorted(i for (i, b) in self.arcs if b == j))
 
     def weak_component_count(self) -> int:
@@ -125,7 +125,7 @@ class BipartiteSupportGraph(_Record):
         A row is ``-`` when it has no arc and ``•`` when it is in the
         stratum of rows sent to infinity.
         """
-        marked = frozenset(_index(i, "a row") for i in _iterable(stratum, "a stratum"))
+        marked = frozenset(_position(i, self.d, "row") + 1 for i in _iterable(stratum, "a stratum"))
         parts = []
         wide = self.n > 9
         for i in range(1, self.d + 1):

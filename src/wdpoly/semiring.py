@@ -11,7 +11,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Iterable, Union
 
-from .errors import DomainError, ValueTypeError
+from .errors import DomainError, ShapeError, ValueTypeError
 
 
 class Infinity:
@@ -189,6 +189,22 @@ def _position(i, size: int, what: str) -> int:
 def tpoint(xs) -> tuple[TVal, ...]:
     """Coerce a point with ``tval``; a bare string or a non-iterable raises ``ValueTypeError``."""
     return tuple(tval(x) for x in _iterable(xs, "a point"))
+
+
+def _point(xs, size: int, shape: str, finite: str = "") -> tuple[TVal, ...]:
+    """``tpoint(xs)`` with ``size`` coordinates, else ``ShapeError(shape.format(length, size))``.
+
+    A point of the query named ``finite`` must be finite (checked after the length), any other
+    point needs a finite coordinate (checked before it); each raises ``DomainError``.
+    """
+    pt = tpoint(xs)
+    if not finite and all(c is INF for c in pt):
+        raise DomainError("projective point needs at least one finite coordinate")
+    if len(pt) != size:
+        raise ShapeError(shape.format(len(pt), size))
+    if finite and any(c is INF for c in pt):
+        raise DomainError(f"{finite} needs a finite point")
+    return pt
 
 
 def is_finite(v: TVal) -> bool:

@@ -11,10 +11,16 @@ entries and ``INF`` point coordinates.  Half of the configuration points lie
 on ties: they are tropical combinations of the columns.  The digraph queries
 are ``detect_negative_cycle``, ``kleene_star``, ``project``,
 ``equality_partition``, ``interior_point`` and ``membership``, and the point
-queries are ``covector_of_point``, ``tcone_membership`` and
-``halfspace_membership``.  Every tenth configuration also gets the walks
-``enumerate_cells`` and ``regular_subdivision``.  Only public names are used,
-so the script runs on any tree of the package.
+queries are ``covector_of_point``, ``tcone_membership``,
+``halfspace_membership``, and ``Sector.contains`` and
+``closed_sector_membership`` at every index from 0 to d + 1 of every column,
+with a point of the wrong length, one that is infinite only, and an apex of
+the wrong length among them.  ``closed_sector_membership`` skips the indices
+where the apex is infinite, which ``Sector`` refuses: its message for them
+names the apex coordinate, while older trees named the apex's support.  Every
+tenth configuration also gets the walks ``enumerate_cells`` and
+``regular_subdivision``.  Only public names are used, so the script runs on
+any tree of the package.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from wdpoly import (
     HalfspaceSystem,
     PointConfig,
     ProjectivePoint,
+    Sector,
     TropicalError,
     WeightedDigraph,
     covector_of_point,
@@ -41,6 +48,7 @@ from wdpoly import (
     kleene_star,
     membership,
     project,
+    closed_sector_membership,
     regular_subdivision,
     tcone_membership,
 )
@@ -55,6 +63,26 @@ def _outcome(call, *args):
         return repr(call(*args))
     except TropicalError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _in_sector(apex, i, x):
+    return Sector(apex, i).contains(x)
+
+
+def sector_results(cols, z):
+    """Both sector queries at every index of every column, and three misfits."""
+    d, zp = len(z), ProjectivePoint.make(z)
+    out = []
+    for col in cols:
+        for i in range(d + 2):
+            out.append(_outcome(_in_sector, col, i, z))
+            if not 1 <= i <= d or col[i - 1] is not INF:
+                out.append(_outcome(closed_sector_membership, zp, col, i))
+    i = next(i for i, x in enumerate(cols[0], 1) if x is not INF)
+    out += [_outcome(_in_sector, cols[0], i, z + [Fraction(0)]),
+            _outcome(_in_sector, cols[0], i, [INF] * d),
+            _outcome(closed_sector_membership, zp, cols[0] + [Fraction(0)], i)]
+    return out
 
 
 def digraph_results(rng):
@@ -100,6 +128,7 @@ def config_results(rng, walks):
         _outcome(tcone_membership, v, ProjectivePoint.make(z)),
         _outcome(halfspace_membership, h, z),
         _outcome(halfspace_membership, h, finite),
+        *sector_results(cols, z),
     ]
     if walks:
         out += [_outcome(enumerate_cells, v), _outcome(regular_subdivision, v)]

@@ -275,11 +275,14 @@ def test_int_point_queries_match_the_fraction_oracles(case):
         assert halfspace_membership(h, x) == covered
     assert halfspace_membership(h, finite) == membership_against(v, h.psi, finite)
     # one column at a time: the closed sectors of each apex, at points with INF coordinates
+    # and at the point as given, its ties included
     for j in range(1, v.n + 1):
         apex = PointConfig.make([[x] for x in v.v.col(j)])
-        seen = covector_by_argmin(apex, point.coords).col_neighbors(1)
-        for i in v.column_support(j):
-            assert closed_sector_membership(point, v.v.col(j), i) == (i in seen)
+        for x in (z, finite):
+            seen = covector_by_argmin(apex, x).col_neighbors(1)
+            for i in v.column_support(j):
+                assert Sector(v.v.col(j), i).contains(x) == (i in seen)
+                assert closed_sector_membership(ProjectivePoint.make(x), v.v.col(j), i) == (i in seen)
 
 
 def test_tcone_membership_golden():

@@ -9,18 +9,25 @@ from hypothesis import strategies as st
 from oracles import is_generic_by_minors, trop_det_by_permutations
 from wdpoly import (
     INF,
+    BipartiteSupportGraph,
     CapabilityError,
     DomainError,
+    NodePartition,
     PointConfig,
+    ProjectivePoint,
+    SignVector,
     TropicalError,
     ShapeError,
     TropicalMatrix,
     ValueTypeError,
     WeightedDigraph,
+    closed_sector_membership,
     enumerate_cells,
     is_generic,
     kleene_star,
     membership,
+    signed_graph,
+    tcone_membership,
     trop_det,
     trop_mat_mul,
 )
@@ -45,6 +52,9 @@ def test_make_rejects_ragged_and_empty():
 
 
 _F, _TM, _WD = Fraction, TropicalMatrix, WeightedDigraph
+_PP, _NP, _SV = ProjectivePoint, NodePartition, SignVector
+_CONFIG = PointConfig.make([[0, 1], [1, 0]])
+_PSI = BipartiteSupportGraph.make(2, 2, [(1, 1), (2, 2)])
 
 
 @pytest.mark.parametrize(
@@ -74,6 +84,24 @@ _F, _TM, _WD = Fraction, TropicalMatrix, WeightedDigraph
         pytest.param(lambda: _WD(2, [((1, 2), _F(1))]), ValueTypeError, id="arc list"),
         pytest.param(lambda: _WD(0, {}), ShapeError, id="0 nodes"),
         pytest.param(lambda: _WD(True, {}), ValueTypeError, id="True nodes"),
+        pytest.param(lambda: tcone_membership(_CONFIG, _PP((0.5, 0.25))),
+                     ValueTypeError, id="cone point of floats"),
+        pytest.param(lambda: closed_sector_membership(_PP((0.5, 0.25)), (0, 1), 1),
+                     ValueTypeError, id="sector point of floats"),
+        pytest.param(lambda: _PP((0, 1)), ValueTypeError, id="int coordinates"),
+        pytest.param(lambda: _PP([_F(0)]), ValueTypeError, id="coordinate list"),
+        pytest.param(lambda: tcone_membership(_CONFIG, _PP((INF, INF))),
+                     DomainError, id="cone point at INF only"),
+        pytest.param(lambda: _PP(()), DomainError, id="no coordinate"),
+        pytest.param(lambda: signed_graph(_PSI, _SV(("x", "-")), _CONFIG.support()),
+                     DomainError, id="sign x"),
+        pytest.param(lambda: _SV("+-"), ValueTypeError, id="sign string"),
+        pytest.param(lambda: _NP(3, ((1,), (1, 2))), DomainError, id="node 1 twice, 3 missing"),
+        pytest.param(lambda: _NP(2, ((1, 2), ())), DomainError, id="empty block"),
+        pytest.param(lambda: NodePartition.make(2, [[1, 2], []]), DomainError, id="make empty block"),
+        pytest.param(lambda: _NP(2, ((True, 2),)), ValueTypeError, id="node True"),
+        pytest.param(lambda: _NP(2, [(1, 2)]), ValueTypeError, id="block list"),
+        pytest.param(lambda: _NP(2.0, ((1, 2),)), ValueTypeError, id="node count 2.0"),
     ],
 )
 def test_the_constructors_refuse_what_make_refuses(build, error):
@@ -85,6 +113,9 @@ def test_the_constructors_refuse_what_make_refuses(build, error):
     assert TropicalMatrix(*[getattr(m, f) for f in m._fields]) == m
     w = WeightedDigraph.make(2, {(1, 2): "1/3", (2, 2): -1, (2, 1): "inf"})
     assert WeightedDigraph(w.k, dict(w.arcs)) == w
+    for made in (ProjectivePoint.make(["inf", "1/3", -2]), SignVector.make("+-"),
+                 NodePartition.make(3, [[3, 1], [2]])):
+        assert type(made)(*[getattr(made, f) for f in made._fields]) == made
 
 
 def test_identity_is_multiplicative_unit():
@@ -198,6 +229,7 @@ def test_is_generic_matches_the_minor_oracle(v):
 
 _PC = PointConfig.make([[0, "inf"], [2, 5]])
 _W = WeightedDigraph.make(2, {(1, 2): 3})
+_G = _PC.support()
 
 
 @pytest.mark.parametrize(
@@ -223,6 +255,14 @@ _W = WeightedDigraph.make(2, {(1, 2): 3})
         pytest.param(lambda: _W.weight(0, 1), DomainError, id="weight(0, 1)"),
         pytest.param(lambda: _W.weight(3, 3), DomainError, id="weight(3, 3)"),
         pytest.param(lambda: _W.weight(1, 2.0), ValueTypeError, id="weight(1, 2.0)"),
+        pytest.param(lambda: _G.row_neighbors(3), DomainError, id="row_neighbors(3)"),
+        pytest.param(lambda: _G.row_neighbors(0), DomainError, id="row_neighbors(0)"),
+        pytest.param(lambda: _G.row_neighbors(True), ValueTypeError, id="row_neighbors(True)"),
+        pytest.param(lambda: _G.col_neighbors(0), DomainError, id="col_neighbors(0)"),
+        pytest.param(lambda: _G.col_neighbors(3), DomainError, id="col_neighbors(3)"),
+        pytest.param(lambda: _G.tuple_string([5]), DomainError, id="tuple_string([5])"),
+        pytest.param(lambda: _G.tuple_string([0]), DomainError, id="tuple_string([0])"),
+        pytest.param(lambda: _G.tuple_string(["1"]), ValueTypeError, id='tuple_string(["1"])'),
     ],
 )
 def test_accessors_refuse_indices_outside_one_to_size(take, error):
@@ -232,3 +272,5 @@ def test_accessors_refuse_indices_outside_one_to_size(take, error):
     assert _PC.column_support(2) == {2}
     assert _PC.v.row(2) == _PC.v.entries[1] and _PC.entry(2, 2) == 5
     assert _W.weight(1, 2) == 3 and _W.weight(2, 1) is INF
+    assert _G.row_neighbors(2) == (1, 2) and _G.col_neighbors(2) == (2,)
+    assert _G.tuple_string([1]) == "(•,12)"

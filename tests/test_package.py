@@ -86,8 +86,10 @@ SAMPLES = {
     "TropicalMatrix": V.v,
     "WeightedDigraph": W,
     "int": 2,
-    "tuple[TVal, ...]": (0, 0),
+    "tuple[TVal, ...]": ProjectivePoint.make([0, 0]).coords,
+    "tuple[str, ...]": ("+", "-"),
     "tuple[tuple[TVal, ...], ...]": V.v.entries,
+    "tuple[tuple[int, ...], ...]": ((1, 2),),
     inspect.Parameter.empty: "0",
 }
 # min, + and min over an iterable run per matrix entry, so they take their values unchecked
