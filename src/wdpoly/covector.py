@@ -191,14 +191,14 @@ class CellRecord(_Record):
 
 
 def _cell(v: PointConfig, g: list, dimension: int, bounded: bool, stratum: tuple = ()):
-    """(sort key, cell) of the graph ``g`` on the sorted ``stratum``, arcs in sorted order.
+    """(sort key, cell) of the graph ``g`` on the sorted ``stratum`` K, arcs in sorted order.
 
     The key is ``CellRecord.sort_key`` without a sort; no two cells share one,
-    so a list of pairs sorts by key alone.  A graph covers the columns avoiding
-    its stratum, so X_G lies in the tropical cone iff G covers every row.
+    so a list of pairs sorts by key alone.  As in ``tcone_membership``, X_G lies in
+    the tropical cone iff G covers the rows of finite coordinates: every row outside K.
     """
     key = (len(stratum), stratum, -dimension, tuple(g))
-    in_tcone = len({i for i, _ in g}) == v.d
+    in_tcone = len({i for i, _ in g}) + len(stratum) == v.d
     graph = BipartiteSupportGraph(v.d, v.n, frozenset(g))
     return key, CellRecord(graph, dimension, bounded, in_tcone, frozenset(stratum))
 
@@ -245,9 +245,10 @@ def cell_sample_point(v: PointConfig, cell: CellRecord) -> tuple[TVal, ...]:
     The interior point of G's face in V's envelope with the stratum's rows
     set to infinity: those rows and the columns that meet them carry no
     arc of G, so they do not constrain the other rows.  ``EmptyCellError`` if
-    the graph's face is empty.
+    the graph's face is empty; ``_strata`` checks the stratum as for ``boundary_matrix``.
     """
-    y, _ = interior_point_of_face(v, _instance(cell, CellRecord).graph)
+    next(_strata(v, _instance(cell, CellRecord).stratum))
+    y, _ = interior_point_of_face(v, cell.graph)
     return tuple(INF if i in cell.stratum else x for i, x in enumerate(y, start=1))
 
 
@@ -465,27 +466,34 @@ class LabeledConfig(_Record):
     config: PointConfig | None
 
 
-def boundary_matrix(v: PointConfig, z: Iterable[int]) -> LabeledConfig:
-    """The configuration induced on the stratum where the rows z are infinite.
+def _strata(v: PointConfig, *z: Iterable[int]):
+    """(K, R, C) per boundary stratum, the one rule of what it keeps: the sorted infinite
+    rows K, the other rows R, and C, the support of each column avoiding K by label.
 
-    Columns with a finite entry in a deleted row disappear entirely; the
-    remaining columns keep their labels.
+    Given a row set ``z``, only K = z: ints (else ``ValueTypeError``) naming rows of V, not
+    all of them (else ``DomainError``).  Else every K of 1 to d - 1 rows, after K less its last.
     """
-    zset = frozenset(_index(i, "a row") for i in _iterable(z, "a row set"))
-    if not zset <= set(range(1, _instance(v, PointConfig).d + 1)):
+    zset = frozenset(_index(i, "a row") for i in _iterable(z[0], "a row set")) if z else None
+    rows = range(1, _instance(v, PointConfig).d + 1)
+    if zset is None:
+        ks = (k for size in range(1, v.d) for k in itertools.combinations(rows, size))
+    elif not zset <= set(rows):
         raise DomainError("stratum rows out of range")
-    if zset == set(range(1, v.d + 1)):
+    elif len(zset) == v.d:
         raise DomainError("the stratum must keep at least one row")
-    rows = tuple(i for i in range(1, v.d + 1) if i not in zset)
-    cols = tuple(
-        j
-        for j in range(1, v.n + 1)
-        if not (v.column_support(j) & zset)
-    )
-    if not cols:
-        return LabeledConfig(rows, (), None)
-    sub = v.v.submatrix(rows, cols)
-    return LabeledConfig(rows, cols, PointConfig(sub))
+    else:
+        ks = [tuple(sorted(zset))]
+    supports = [frozenset(i for i, x in zip(rows, c) if x is not INF) for c in zip(*v.v.entries)]
+    for k in ks:
+        cols = {j: s for j, s in enumerate(supports, start=1) if s.isdisjoint(k)}
+        yield k, tuple(i for i in rows if i not in k), cols
+
+
+def boundary_matrix(v: PointConfig, z: Iterable[int]) -> LabeledConfig:
+    """The configuration on the stratum where the rows z are infinite: its R and C, labelled."""
+    _, rows, cols = next(_strata(v, z))
+    cols = tuple(cols)
+    return LabeledConfig(rows, cols, PointConfig(v.v.submatrix(rows, cols)) if cols else None)
 
 
 def projective_decomposition(
@@ -495,12 +503,11 @@ def projective_decomposition(
 
     Where the rows K are infinite, a column avoiding K keeps its torus argmin
     rows and pushing x_K to +inf sends every other column into K's sectors, so
-    K's graphs are those of K minus its largest row restricted to the other
-    rows R and the columns C avoiding K (``cell_boundary_restriction``).  A
-    cell's dimension is its graph's number of weak components on R and C less
-    one.  X_G is bounded iff every row of R reaches all of R along the arcs
-    r -> r', for (r', j) in G and r in the support of j: there the face's star
-    is finite.
+    K's graphs are those of K minus its largest row restricted to its R and C
+    (``_strata``, ``cell_boundary_restriction``).  A cell's dimension is its
+    graph's number of weak components on R and C less one.  X_G is bounded iff
+    every row of R reaches all of R along the arcs r -> r', for (r', j) in G
+    and r in the support of j: there the face's star is finite.
     """
     return [c for _, c, _ in _decomposition(v, candidate_bound)[1]]
 
@@ -509,38 +516,30 @@ def _decomposition(v: PointConfig, candidate_bound: int):
     """The walk's arcs and the sorted (sort key, cell, closed graph's mask) of each cell."""
     arcs, torus = _cells(v, candidate_bound)
     out = [(key, c, g) for g, (key, c) in torus.items()]
-    d, supports = v.d, [v.column_support(j) for j in range(1, v.n + 1)]
-    strata = {(): torus}
-    for size in range(1, d):
-        for k in itertools.combinations(range(1, d + 1), size):
-            rows = [i for i in range(1, d + 1) if i not in k]
-            cols = {j for j, s in enumerate(supports, start=1) if s.isdisjoint(k)}
-            keep = sum(1 << b for b, (_, j) in enumerate(arcs) if j in cols)
-            k_arcs = sum(1 << b for b, (i, _) in enumerate(arcs) if i in k)  # in closed graphs
-            # row i is node i and column j is node d + j: R is ``r_nodes``, R and C are ``nodes``
-            r_nodes = sum(1 << i for i in rows)
-            nodes = r_nodes | sum(1 << d + j for j in cols)
-            strata[k] = {g & keep for g in strata[k[:-1]]}
-            for mask in strata[k]:
-                g = _arcs_of(arcs, mask)
-                nbr = _masks(d + v.n + 1, [(i, d + j) for i, j in g])[1]
-                dimension = len(list(_parts(nbr, nodes))) - 1
-                succ = _masks(d + 1, [(r, i) for i, j in g for r in supports[j - 1]])[0]
-                bounded = all(_flood(1 << r, succ, r_nodes) == r_nodes for r in rows)
-                out.append((*_cell(v, g, dimension, bounded, k), mask | k_arcs))
+    d, strata = v.d, {(): torus}
+    for k, rows, cols in _strata(v):
+        keep = sum(1 << b for b, (_, j) in enumerate(arcs) if j in cols)
+        k_arcs = sum(1 << b for b, (i, _) in enumerate(arcs) if i in k)  # in closed graphs
+        # row i is node i and column j is node d + j: R is ``r_nodes``, R and C are ``nodes``
+        r_nodes = sum(1 << i for i in rows)
+        nodes = r_nodes | sum(1 << d + j for j in cols)
+        strata[k] = {g & keep for g in strata[k[:-1]]}
+        for mask in strata[k]:
+            g = _arcs_of(arcs, mask)
+            nbr = _masks(d + v.n + 1, [(i, d + j) for i, j in g])[1]
+            dimension = len(list(_parts(nbr, nodes))) - 1
+            succ = _masks(d + 1, [(r, i) for i, j in g for r in cols[j]])[0]
+            bounded = all(_flood(1 << r, succ, r_nodes) == r_nodes for r in rows)
+            out.append((*_cell(v, g, dimension, bounded, k), mask | k_arcs))
     return arcs, sorted(out)
 
 
 def cell_boundary_restriction(
     v: PointConfig, g: CovectorGraph, z: Iterable[int]
 ) -> BipartiteSupportGraph:
-    """Where the closure of the torus cell X_G meets the stratum z.
-
-    Drops the arcs of the deleted rows and of the columns that do not
-    survive on the stratum; labels stay original.
-    """
-    lab = boundary_matrix(v, z)
+    """Where the closure of the torus cell X_G meets the stratum z: G's arcs in its R and C."""
+    k, _, cols = next(_strata(v, z))
     if (_instance(g, BipartiteSupportGraph).d, g.n) != (v.d, v.n):
         raise ShapeError("graph shape does not match the configuration")
-    kept = frozenset((i, j) for (i, j) in g.arcs if i in lab.row_labels and j in lab.col_labels)
+    kept = frozenset((i, j) for i, j in g.arcs if j in cols and i not in k)
     return BipartiteSupportGraph(v.d, v.n, kept)

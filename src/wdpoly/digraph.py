@@ -30,11 +30,26 @@ from .semiring import INF, TVal, _Record, _bound, _index, _instance, _iterable, 
 from .semiring import _point, tval
 
 
+class _Arcs(dict):
+    """A digraph's arc weights: a dict whose mutators raise ``TypeError``, so ``_ints`` holds."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a WeightedDigraph's arcs are read-only; build a new digraph")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Arcs, (dict(self),)
+
+
 class WeightedDigraph(_Record):
     """Digraph on nodes 1..k with finite rational arc weights.
 
     Loops and antiparallel arc pairs are allowed; an absent arc stands for
-    an infinite matrix entry.  The shortest-path queries share ``_ints``.
+    an infinite matrix entry.  The shortest-path queries share ``_ints``, so
+    ``arcs`` is kept as a read-only dict.
     """
 
     k: int
@@ -52,6 +67,8 @@ class WeightedDigraph(_Record):
                 raise DomainError(f"arc ({i},{j}) out of range for {k} nodes")
         if not {Fraction}.issuperset(map(type, arcs.values())):
             raise ValueTypeError("arc weights must be Fractions; make coerces other values")
+        if type(arcs) is not _Arcs:
+            object.__setattr__(self, "arcs", _Arcs(arcs))
 
     @cached_property
     def _ints(self) -> tuple[int, dict[tuple[int, int], int]]:

@@ -85,15 +85,14 @@ class BipartiteSupportGraph(_Record):
         set_d(self, d)
         set_n(self, n)
         set_arcs(self, arcs)
+        grid = _GRIDS.get((d, n))  # one subset test refuses what ``make`` refuses
+        if grid is None or type(arcs) is not frozenset or not arcs <= grid:
+            _check_arcs(d, n, arcs)
 
     @classmethod
     def make(cls, d: int, n: int, arcs: Iterable[tuple[int, int]]) -> "BipartiteSupportGraph":
         d, n = _index(d, "a row count"), _index(n, "a column count")
-        aset = frozenset(_index(a, "an arc", pair=True) for a in _iterable(arcs, "arcs"))
-        for i, j in aset:
-            if not (1 <= i <= d and 1 <= j <= n):
-                raise DomainError(f"arc ({i},{j}) outside [{d}]x[{n}]")
-        return cls(d, n, aset)
+        return cls(d, n, frozenset(_index(a, "an arc", pair=True) for a in _iterable(arcs, "arcs")))
 
     def row_neighbors(self, i: int) -> tuple[int, ...]:
         i = _position(i, self.d, "row") + 1
@@ -142,6 +141,28 @@ class BipartiteSupportGraph(_Record):
 
     def sorted_arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.arcs))
+
+
+_GRIDS: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
+
+
+def _check_arcs(d: int, n: int, arcs: frozenset) -> None:
+    """A support graph's shape (at least 1 x 1) and arcs (a frozenset inside [d] x [n]).
+
+    A shape of up to 4096 arcs then keeps [d] x [n] in ``_GRIDS`` (64 shapes at most),
+    so the constructor's next graph of that shape needs only a subset test.
+    """
+    if _index(d, "a row count") < 1 or _index(n, "a column count") < 1:
+        raise ShapeError(f"a support graph needs a row and a column, got {d}x{n}")
+    rows, cols = range(1, d + 1), range(1, n + 1)
+    for a in _instance(arcs, frozenset):
+        if not (type(a) is tuple and len(a) == 2 and a[0] in rows and a[1] in cols):
+            i, j = _index(a, "an arc", pair=True)
+            raise DomainError(f"arc ({i},{j}) outside [{d}]x[{n}]")
+    if d * n <= 4096:
+        if len(_GRIDS) == 64:
+            _GRIDS.clear()
+        _GRIDS[d, n] = frozenset((i, j) for i in rows for j in cols)
 
 
 # A covector graph is a support graph that passes ``is_covector_graph``;

@@ -721,8 +721,9 @@ def projective_decomposition_by_subconfigs(v: PointConfig) -> list[CellRecord]:
 
     The stratum where the rows K are infinite keeps the other rows and the
     columns whose support avoids K; its torus cells, mapped back to the
-    original labels, are the stratum's cells.  A stratum with no column
-    left is a single cell with an empty graph.
+    original labels, are the stratum's cells, each in the tropical cone as
+    its torus cell is in the sub-configuration's.  A stratum with no column
+    left is a single cell with an empty graph, outside the cone.
     """
     out = []
     for size in range(v.d):
@@ -740,7 +741,7 @@ def projective_decomposition_by_subconfigs(v: PointConfig) -> list[CellRecord]:
                     (lab.row_labels[i - 1], lab.col_labels[j - 1]) for i, j in local.graph.arcs
                 )
                 g = BipartiteSupportGraph(v.d, v.n, arcs)
-                out.append(CellRecord(g, local.dimension, local.bounded, False, k))
+                out.append(CellRecord(g, local.dimension, local.bounded, local.in_tcone, k))
     return sorted(out, key=CellRecord.sort_key)
 
 

@@ -591,6 +591,28 @@ def test_boundary_strata_are_the_restrictions_of_the_torus_cells(v):
         assert len(graphs) == len(expect) and set(graphs) == expect
 
 
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+@example(PointConfig.make([[5, -5, -2], [-3, "inf", -2], [-4, -5, 1], [1, "inf", -3]]))
+def test_in_tcone_is_the_cone_test_of_the_sample_point(v):
+    # on a stratum K, a cell lies in the cone iff its graph covers every row outside K
+    for c in projective_decomposition(v):
+        z = ProjectivePoint.make(cell_sample_point(v, c))
+        assert c.in_tcone == tcone_membership(v, z)[0]
+
+
+def test_a_boundary_cell_that_covers_its_rows_lies_in_the_cone():
+    v = PointConfig.make([[5, -5, -2], [-3, "inf", -2], [-4, -5, 1], [1, "inf", -3]])
+    strata = {c.graph.sorted_arcs(): c for c in projective_decomposition(v) if c.stratum == {2, 4}}
+    assert {arcs: c.in_tcone for arcs, c in strata.items()} == {
+        ((1, 2),): False, ((3, 2),): False, ((1, 2), (3, 2)): True
+    }
+    cell = strata[(1, 2), (3, 2)]
+    # its sample point is a shift of column 2, so a tropical combination of V's columns
+    z = ProjectivePoint.make(cell_sample_point(v, cell))
+    assert z == ProjectivePoint.make(v.v.col(2)) and tcone_membership(v, z)[0]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_five_row_strata_match_the_subconfiguration_oracle(seed):
     # ``_configs`` draws at most four rows
@@ -866,6 +888,17 @@ def test_halfspace_and_walk_entry_points_check_their_arguments():
 def test_cell_and_point_entry_points_check_their_objects(take):
     with pytest.raises(ValueTypeError):
         take()
+
+
+def test_cell_sample_point_checks_the_stratum_as_boundary_matrix_does():
+    empty = G(2, 2, [])
+    for stratum, message in (({1, 2}, "keep at least one row"), ({0, 5}, "out of range")):
+        with pytest.raises(DomainError, match=message):
+            cell_sample_point(_V2, CellRecord(empty, 0, True, False, frozenset(stratum)))
+        with pytest.raises(DomainError, match=message):
+            boundary_matrix(_V2, stratum)
+    with pytest.raises(ValueTypeError):
+        cell_sample_point(_V2, CellRecord(empty, 0, True, False, frozenset({1.0})))
 
 
 def test_cell_boundary_restriction_refuses_a_graph_of_another_shape():

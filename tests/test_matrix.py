@@ -52,7 +52,7 @@ def test_make_rejects_ragged_and_empty():
 
 
 _F, _TM, _WD = Fraction, TropicalMatrix, WeightedDigraph
-_PP, _NP, _SV = ProjectivePoint, NodePartition, SignVector
+_PP, _NP, _SV, _BG = ProjectivePoint, NodePartition, SignVector, BipartiteSupportGraph
 _CONFIG = PointConfig.make([[0, 1], [1, 0]])
 _PSI = BipartiteSupportGraph.make(2, 2, [(1, 1), (2, 2)])
 
@@ -102,6 +102,16 @@ _PSI = BipartiteSupportGraph.make(2, 2, [(1, 1), (2, 2)])
         pytest.param(lambda: _NP(2, ((True, 2),)), ValueTypeError, id="node True"),
         pytest.param(lambda: _NP(2, [(1, 2)]), ValueTypeError, id="block list"),
         pytest.param(lambda: _NP(2.0, ((1, 2),)), ValueTypeError, id="node count 2.0"),
+        pytest.param(lambda: _BG(2, 2, frozenset({(3, 1), (1, 2)})), DomainError, id="support arc (3,1)"),
+        pytest.param(lambda: signed_graph(_BG(2, 2, frozenset({(3, 1), (1, 2)})), _SV(("+", "+")),
+                                          _CONFIG.support()), DomainError, id="selection arc (3,1)"),
+        pytest.param(lambda: _BG(2, 2, frozenset({(1, 0)})), DomainError, id="support arc (1,0)"),
+        pytest.param(lambda: _BG(2, 2, frozenset({5})), ValueTypeError, id="support arc 5"),
+        pytest.param(lambda: _BG(2, 2, [(1, 1)]), ValueTypeError, id="support arc list"),
+        pytest.param(lambda: _BG(2, 0, frozenset()), ShapeError, id="support of 0 columns"),
+        pytest.param(lambda: BipartiteSupportGraph.make(0, 2, []), ShapeError, id="make 0 rows"),
+        pytest.param(lambda: BipartiteSupportGraph.make(-1, 2, []), ShapeError, id="make -1 rows"),
+        pytest.param(lambda: _BG(80, 80, frozenset({(81, 1)})), DomainError, id="80x80 arc (81,1)"),
     ],
 )
 def test_the_constructors_refuse_what_make_refuses(build, error):
@@ -114,7 +124,7 @@ def test_the_constructors_refuse_what_make_refuses(build, error):
     w = WeightedDigraph.make(2, {(1, 2): "1/3", (2, 2): -1, (2, 1): "inf"})
     assert WeightedDigraph(w.k, dict(w.arcs)) == w
     for made in (ProjectivePoint.make(["inf", "1/3", -2]), SignVector.make("+-"),
-                 NodePartition.make(3, [[3, 1], [2]])):
+                 NodePartition.make(3, [[3, 1], [2]]), _PSI, _BG.make(80, 80, [(80, 1)])):
         assert type(made)(*[getattr(made, f) for f in made._fields]) == made
 
 

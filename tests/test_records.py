@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from wdpoly import (
     WeightedDigraph,
     cone_face_lattice,
     covector_of_point,
+    detect_negative_cycle,
     enumerate_cells,
     kleene_star,
     membership,
@@ -191,6 +193,29 @@ def test_the_int_view_of_a_digraph_or_configuration_is_no_field():
         assert pickle.dumps(record) == pickle.dumps(fresh)
         for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert twin == fresh and "_ints" not in vars(twin)
+
+
+def test_a_digraphs_arcs_are_read_only():
+    # the int view is kept, so a changed weight would leave the shortest-path queries stale
+    w = WeightedDigraph.make(2, {(1, 2): 1, (2, 1): 0})
+    star = kleene_star(w)
+    mutations = (
+        lambda a: a.__setitem__((1, 2), Fraction(-5)), lambda a: a.__delitem__((1, 2)),
+        lambda a: a.update({(1, 2): Fraction(-5)}), lambda a: a.setdefault((1, 1), Fraction(-1)),
+        lambda a: a.pop((1, 2)), lambda a: a.popitem(), lambda a: a.clear(),
+        lambda a: a.__ior__({(1, 2): Fraction(-5)}),
+    )
+    for mutate in mutations:
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(w.arcs)
+    assert w.arcs == {(1, 2): 1, (2, 1): 0} and w == WeightedDigraph(2, dict(w.arcs))
+    assert kleene_star(w) == star and detect_negative_cycle(w) is None
+    # the weight changes in a new digraph, which sees the negative cycle 1 -> 2 -> 1
+    changed = WeightedDigraph.make(2, {**w.arcs, (1, 2): -5})
+    assert changed.arcs == {(1, 2): -5, (2, 1): 0} and detect_negative_cycle(changed) is not None
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        with pytest.raises(TypeError):
+            twin.arcs[(1, 2)] = Fraction(-5)
 
 
 def test_a_record_class_leaves_no_field_out_of_equality():
