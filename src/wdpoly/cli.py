@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import wdpoly
+
 from . import digraph as dg
 from . import formats as fmt
 from .errors import (
@@ -68,35 +70,30 @@ def _cmd_rays(args):
 
 
 def _cmd_envelope(args):
-    from . import envelope as env
-    return fmt.digraph_to_obj(env.envelope_digraph(_load_config(args.input))), 0
+    return fmt.digraph_to_obj(wdpoly.envelope_digraph(_load_config(args.input))), 0
 
 
 def _cmd_cells(args):
-    from . import covector as cov
-    cells = cov.enumerate_cells(_load_config(args.input), candidate_bound=args.bound)
+    cells = wdpoly.enumerate_cells(_load_config(args.input), candidate_bound=args.bound)
     return [fmt.cell_to_obj(c) for c in cells], 0
 
 
 def _cmd_subdivision(args):
-    from . import envelope as env
-    cells = env.regular_subdivision(_load_config(args.input), candidate_bound=args.bound)
+    cells = wdpoly.regular_subdivision(_load_config(args.input), candidate_bound=args.bound)
     return [fmt.subdivision_cell_to_obj(c) for c in cells], 0
 
 
 def _cmd_member(args):
-    from . import covector as cov
     point = fmt.parse_point(args.point)
     if args.system:
-        ok = cov.halfspace_membership(_load_system(args.input), point)
+        ok = wdpoly.halfspace_membership(_load_system(args.input), point)
         return {"member": ok}, 0 if ok else 1
-    ok, lam = cov.tcone_membership(_load_config(args.input), cov.ProjectivePoint.make(point))
+    ok, lam = wdpoly.tcone_membership(_load_config(args.input), wdpoly.ProjectivePoint.make(point))
     return {"member": ok, "witness": fmt.point_to_obj(lam)}, 0 if ok else 1
 
 
 def _cmd_pure(args):
-    from . import covector as cov
-    ok, pair = cov.is_pure(_load_system(args.input), candidate_bound=args.bound)
+    ok, pair = wdpoly.is_pure(_load_system(args.input), candidate_bound=args.bound)
     obj = {"pure": ok}
     if pair is not None:
         obj["witness"] = [fmt.cell_to_obj(pair[0]), fmt.cell_to_obj(pair[1])]
@@ -104,31 +101,28 @@ def _cmd_pure(args):
 
 
 def _cmd_signed(args):
-    from . import covector as cov
-    table = cov.signed_cells(_load_system(args.input), candidate_bound=args.bound)
+    table = wdpoly.signed_cells(_load_system(args.input), candidate_bound=args.bound)
     return {eps: [fmt.cell_to_obj(c) for c in cells] for eps, cells in sorted(table.items())}, 0
 
 
 def _cmd_projective(args):
-    from . import covector as cov
-    cells = cov.projective_decomposition(_load_config(args.input), candidate_bound=args.bound)
+    cells = wdpoly.projective_decomposition(_load_config(args.input), candidate_bound=args.bound)
     return [fmt.cell_to_obj(c) for c in cells], 0
 
 
 def _cmd_tangent(args):
-    from . import covector as cov, envelope as env
     system = _load_system(args.input)
     graph = fmt.parse_support_graph(fmt.load_json(args.cell), args.cell)
-    if not env.is_covector_graph(system.config, graph):
+    if not wdpoly.is_covector_graph(system.config, graph):
         raise EmptyCellError("the given graph is not a cell of the decomposition")
-    record = cov.CellRecord(
+    record = wdpoly.CellRecord(
         graph=graph,
         dimension=graph.weak_component_count() - 1,
         bounded=False,
         in_tcone=False,
         stratum=frozenset(),
     )
-    t = cov.tangent_digraph(system, record)
+    t = wdpoly.tangent_digraph(system, record)
     return {
         "columns": list(t.columns),
         "row_to_col": [list(a) for a in sorted(t.row_to_col)],
@@ -141,9 +135,8 @@ def _cmd_export_dot(args):
     obj = fmt.load_json(args.input)
     if isinstance(obj, dict) and "nodes" in obj:
         return dot_of_digraph(fmt.parse_digraph(obj, args.input)), 0
-    from .envelope import envelope_digraph
     v = fmt.parse_point_config(obj, args.input)
-    return dot_of_digraph(envelope_digraph(v), bipartite_rows=v.d), 0
+    return dot_of_digraph(wdpoly.envelope_digraph(v), bipartite_rows=v.d), 0
 
 
 def _cmd_plot_svg(args):

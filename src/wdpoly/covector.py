@@ -208,12 +208,12 @@ def _cells(v: PointConfig, candidate_bound: int, cover=None, stop=False):
 
     X_G, the projection of the face F_G to R^d, is cut out by the rows' block of
     the face's star, so it is bounded modulo translation iff that block is finite.
-    A minimal face has no star: its X_G is a point iff its rows share a component.
+    A minimal face has no star; every column has an arc, so X_G is a point iff G is connected.
     """
     arcs, walk = _walk(v, candidate_bound, cover, stop)
     d, cells = v.d, {}
-    for g, star, labels, k in walk:
-        bounded = all(None not in r[:d] for r in star[:d]) if star else len(set(labels[:d])) == 1
+    for g, star, k in walk:
+        bounded = all(None not in r[:d] for r in star[:d]) if star else k == 1
         cells[g] = _cell(v, _arcs_of(arcs, g), k - 1, bounded)
     return arcs, cells
 

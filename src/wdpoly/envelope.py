@@ -292,12 +292,12 @@ def face_projection_matrix(v: PointConfig, g: CovectorGraph) -> TropicalMatrix:
 def _walk(v: PointConfig, candidate_bound: int, cover=None, stop=False):
     """V's sorted support arcs and the walk over them.
 
-    The walk yields (mask, star, labels, components) per graph G: bit b of ``mask`` is
-    the arc ``arcs[b]`` (``_arcs_of`` reads them back), ``star`` the scaled Kleene star of
-    W#G, and ``labels`` name G's ``components`` weak components on all d+n nodes, merged
-    along each closure's new arcs.  A graph with the support's count is a minimal face with
-    no nonempty child: its star is None and it is not grown.  Rather than hold more than
-    ``candidate_bound`` graphs, found or pending, it raises.
+    The walk yields (mask, star, components) per graph G: bit b of ``mask`` is the arc
+    ``arcs[b]`` (``_arcs_of`` reads them back), ``star`` the scaled Kleene star of W#G, and
+    ``components`` the count of G's weak components on all d+n nodes, which the walk keeps
+    by merging per-node labels along each closure's new arcs.  A graph with the support's
+    count is a minimal face with no nonempty child: its star is None and it is not grown.
+    Rather than hold more than ``candidate_bound`` graphs, found or pending, it raises.
 
     It yields the graphs with an arc of ``cover`` (default: every support arc)
     in each column.  A graph missing one grows only by those arcs in its
@@ -347,7 +347,7 @@ def _climb(v: PointConfig, candidate_bound: int, arcs, cover, stop: bool):
         missing = next((col for m, col in grow if not g & m), None)
         if missing is None:
             found += 1
-            yield g, star, labels, components
+            yield g, star, components
         if star is None or stop and missing is None:
             continue  # a minimal face has no nonempty child, and ``stop`` grows no yielded graph
         rest = [x for x in nodes if not g & x[0]]
@@ -389,7 +389,7 @@ def enumerate_covector_graphs(
     covering all columns is reached.
     """
     arcs, walk = _walk(v, candidate_bound)
-    graphs = sorted((_arcs_of(arcs, g) for g, _, _, _ in walk), key=lambda g: (len(g), g))
+    graphs = sorted((_arcs_of(arcs, g) for g, _, _ in walk), key=lambda g: (len(g), g))
     return [BipartiteSupportGraph(v.d, v.n, frozenset(g)) for g in graphs]
 
 

@@ -13,12 +13,14 @@ import os
 import tempfile
 from typing import TYPE_CHECKING, Any, Sequence
 
+import wdpoly
+
 from .digraph import NodePartition, WeightedDigraph
 from .errors import FormatError
 from .matrix import TropicalMatrix
 from .semiring import INF, TVal, is_finite, tval
 
-if TYPE_CHECKING:  # the parsers that build these import their modules when called
+if TYPE_CHECKING:  # the parsers that build these reach them through the package's names
     from .covector import CellRecord, HalfspaceSystem
     from .envelope import BipartiteSupportGraph, PointConfig, SubdivisionCell
 
@@ -115,10 +117,9 @@ def matrix_to_obj(m: TropicalMatrix) -> dict:
 
 
 def parse_point_config(obj: Any, path=None) -> PointConfig:
-    from .envelope import PointConfig
     m = parse_matrix(obj, path)
     try:
-        return PointConfig(m)
+        return wdpoly.PointConfig(m)
     except ValueError as exc:
         raise FormatError(str(exc), path=path, field="entries")
 
@@ -183,7 +184,6 @@ def _pairs(raw: Any, field: str, path=None) -> list[tuple[int, int]]:
 
 
 def parse_support_graph(obj: Any, path=None) -> BipartiteSupportGraph:
-    from .envelope import BipartiteSupportGraph
     d = _require(obj, "d", path)
     n = _require(obj, "n", path)
     arcs = _require(obj, "arcs", path)
@@ -191,7 +191,7 @@ def parse_support_graph(obj: Any, path=None) -> BipartiteSupportGraph:
         raise FormatError("d and n must be positive integers", path=path, field="d")
     pairs = _pairs(arcs, "arcs", path)
     try:
-        return BipartiteSupportGraph.make(d, n, pairs)
+        return wdpoly.BipartiteSupportGraph.make(d, n, pairs)
     except ValueError as exc:
         raise FormatError(str(exc), path=path, field="arcs")
 
@@ -201,13 +201,11 @@ def graph_to_obj(g: BipartiteSupportGraph) -> dict:
 
 
 def parse_system(obj: Any, path=None) -> HalfspaceSystem:
-    from .covector import HalfspaceSystem
-    from .envelope import BipartiteSupportGraph
     v = parse_point_config(_require(obj, "matrix", path), path)
     pairs = _pairs(_require(obj, "selection", path), "selection", path)
     try:
-        psi = BipartiteSupportGraph.make(v.d, v.n, pairs)
-        return HalfspaceSystem.make(v, psi)
+        psi = wdpoly.BipartiteSupportGraph.make(v.d, v.n, pairs)
+        return wdpoly.HalfspaceSystem.make(v, psi)
     except ValueError as exc:
         raise FormatError(str(exc), path=path, field="selection")
 

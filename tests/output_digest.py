@@ -18,14 +18,21 @@ with a point of the wrong length, one that is infinite only, and an apex of
 the wrong length among them.  ``closed_sector_membership`` skips the indices
 where the apex is infinite, which ``Sector`` refuses: its message for them
 names the apex coordinate, while older trees named the apex's support.  Every
-tenth configuration also gets the walks ``enumerate_cells`` and
-``regular_subdivision``.  Only public names are used, so the script runs on
-any tree of the package.
+digraph also gets ``recession`` and ``cone_face_lattice`` of its zero weights.
+Every tenth configuration also gets the walks ``enumerate_cells``,
+``regular_subdivision`` and ``projective_decomposition``, and its halfspace
+system ``signed_cells``, ``is_pure`` and ``cells_of_halfspace``; then
+``cell_sample_point`` of every cell of the decomposition, and for every proper
+row set (the empty one included) ``boundary_matrix`` and the
+``cell_boundary_restriction`` of every torus cell.  Cell reprs carry
+``in_tcone``, so boundary cells' cone flags are hashed too.  Only public names
+are used, so the script runs on any tree of the package.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -39,17 +46,26 @@ from wdpoly import (
     Sector,
     TropicalError,
     WeightedDigraph,
+    boundary_matrix,
+    cell_boundary_restriction,
+    cell_sample_point,
+    cells_of_halfspace,
+    cone_face_lattice,
     covector_of_point,
     detect_negative_cycle,
     enumerate_cells,
     equality_partition,
     halfspace_membership,
     interior_point,
+    is_pure,
     kleene_star,
     membership,
     project,
+    projective_decomposition,
     closed_sector_membership,
+    recession,
     regular_subdivision,
+    signed_cells,
     tcone_membership,
 )
 
@@ -98,7 +114,8 @@ def digraph_results(rng):
     out += [inner, _outcome(membership, w, point)]
     if detect_negative_cycle(w) is None:
         out.append(_outcome(membership, w, interior_point(w)))
-    return out
+    gamma = w.zero_weights()
+    return out + [_outcome(recession, gamma), _outcome(cone_face_lattice, gamma)]
 
 
 def config_results(rng, walks):
@@ -131,7 +148,20 @@ def config_results(rng, walks):
         *sector_results(cols, z),
     ]
     if walks:
-        out += [_outcome(enumerate_cells, v), _outcome(regular_subdivision, v)]
+        out += walk_results(v, h)
+    return out
+
+
+def walk_results(v, h):
+    """The walks of V and of its system h, and the per-cell and per-stratum queries."""
+    torus, cells = enumerate_cells(v), projective_decomposition(v)
+    out = [repr(torus), _outcome(regular_subdivision, v), repr(cells)]
+    out += [_outcome(f, h) for f in (signed_cells, is_pure, cells_of_halfspace)]
+    out += [_outcome(cell_sample_point, v, c) for c in cells]
+    for size in range(v.d):
+        for z in itertools.combinations(range(1, v.d + 1), size):
+            out.append(_outcome(boundary_matrix, v, z))
+            out += [_outcome(cell_boundary_restriction, v, c.graph, z) for c in torus]
     return out
 
 

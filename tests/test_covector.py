@@ -1043,3 +1043,38 @@ def test_purity_theorem(h):
     if cells:
         assert is_pure(h) == (True, None)
         assert {c.dimension for c in maximal_cells(cells)} == {h.config.d - 1}
+
+
+@st.composite
+def _planted_systems(draw):
+    """A generic V with 3 <= d <= 6 and n <= 8, a rational point x, and a proper system holding x.
+
+    Column j selects the argmin rows of v_ij - x_i and random other rows, d - 1 in all at most;
+    x is redrawn while some column's argmin holds all d rows.  So no system is empty.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d, n = draw(st.integers(3, 6)), draw(st.integers(1, 8))
+    generic = False
+    while not generic:
+        v = PointConfig.make([[rng.randint(-999, 999) for _ in range(n)] for _ in range(d)])
+        generic, _ = is_generic(v.v)
+    rows = range(1, d + 1)
+    argmins = [rows]
+    while any(len(a) == d for a in argmins):
+        x = [Fraction(rng.randint(-999, 999), rng.randint(1, 7)) for _ in rows]
+        slacks = [[v.entry(i, j) - x[i - 1] for i in rows] for j in range(1, n + 1)]
+        argmins = [[i for i, s in zip(rows, col) if s == min(col)] for col in slacks]
+    psi = set()
+    for j, a in enumerate(argmins, start=1):
+        others = [i for i in rows if i not in a]
+        psi |= {(i, j) for i in a + rng.sample(others, rng.randint(0, d - 1 - len(a)))}
+    return HalfspaceSystem.make(v, G(d, n, psi), require_proper=True), x
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planted_systems())
+def test_purity_theorem_on_planted_points(planted):
+    h, x = planted
+    assert halfspace_membership(h, x)
+    assert is_pure(h) == (True, None)
+    assert {c.dimension for c in maximal_cells(cells_of_halfspace(h))} == {h.config.d - 1}

@@ -1,6 +1,7 @@
 """The lazily loading package: public names, submodules, what a CLI start imports,
 and the input contract of every public entry point."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -217,6 +218,19 @@ def test_the_cli_and_cell_layers_load_no_code_generation_or_introspection():
         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
     )
     assert _fresh_python(code).stdout == "[]\n"
+
+
+def test_the_cli_and_the_readers_reach_the_cell_layers_through_the_package():
+    # the package's name table is the one lazy loader: no function imports a layer itself,
+    # save the renderers, which are no public names
+    inner = set()
+    for name in ("cli", "formats"):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"wdpoly.{name}")))
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef):
+                imports = (x for x in ast.walk(f) if isinstance(x, (ast.Import, ast.ImportFrom)))
+                inner |= set(map(ast.unparse, imports))
+    assert inner == {"from .dot import dot_of_digraph", "from .svg import render_svg"}
 
 
 def test_help_names_every_verb_and_a_typo_is_a_usage_error(capsys):
