@@ -120,7 +120,7 @@ def _cmd_tangent(args):
         dimension=graph.weak_component_count() - 1,
         bounded=False,
         in_tcone=False,
-        stratum=frozenset(),
+        stratum=wdpoly.covector._TORUS,
     )
     t = wdpoly.tangent_digraph(system, record)
     return {

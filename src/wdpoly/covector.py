@@ -154,6 +154,8 @@ def tcone_membership(v: PointConfig, z: ProjectivePoint) -> tuple[bool, tuple[TV
 # ---------------------------------------------------------------------------
 # cell records and enumeration
 
+_TORUS = frozenset()  # the empty stratum, which every torus cell shares
+
 
 class CellRecord(_Record):
     """One cell of a covector decomposition, possibly on a boundary stratum.
@@ -200,7 +202,7 @@ def _cell(v: PointConfig, g: list, dimension: int, bounded: bool, stratum: tuple
     key = (len(stratum), stratum, -dimension, tuple(g))
     in_tcone = len({i for i, _ in g}) + len(stratum) == v.d
     graph = BipartiteSupportGraph(v.d, v.n, frozenset(g))
-    return key, CellRecord(graph, dimension, bounded, in_tcone, frozenset(stratum))
+    return key, CellRecord(graph, dimension, bounded, in_tcone, frozenset(stratum) or _TORUS)
 
 
 def _cells(v: PointConfig, candidate_bound: int, cover=None, stop=False):

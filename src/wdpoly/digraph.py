@@ -6,8 +6,8 @@ and the polyhedron Q(W) consists of the points x with x_i - x_j <= w_ij
 for every arc.  This module covers feasibility, Kleene stars, equality
 partitions, faces, intersections, projections, recession cones and the
 face lattices of zero-weight digraph cones.  Their loops add and compare ints:
-a digraph keeps its weights times the LCM L of their denominators
-(``WeightedDigraph._ints``), and a point joins them at lcm(L, its denominators).
+a digraph keeps its weights times the LCM L of their denominators (``_ints``)
+and their one star (``_solved``); a point joins them at lcm(L, its denominators).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .semiring import _point, tval
 
 
 class _Arcs(dict):
-    """A digraph's arc weights: a dict whose mutators raise ``TypeError``, so ``_ints`` holds."""
+    """A digraph's arc weights: a dict whose mutators raise ``TypeError``, so its views hold."""
 
     __slots__ = ()
 
@@ -48,8 +48,8 @@ class WeightedDigraph(_Record):
     """Digraph on nodes 1..k with finite rational arc weights.
 
     Loops and antiparallel arc pairs are allowed; an absent arc stands for
-    an infinite matrix entry.  The shortest-path queries share ``_ints``, so
-    ``arcs`` is kept as a read-only dict.
+    an infinite matrix entry.  The shortest-path queries share ``_ints`` and
+    the star queries ``_solved``, so ``arcs`` is kept as a read-only dict.
     """
 
     k: int
@@ -74,6 +74,14 @@ class WeightedDigraph(_Record):
     def _ints(self) -> tuple[int, dict[tuple[int, int], int]]:
         """``_scaled(arcs)``: the weights as ints and their scale."""
         return _scaled(self.arcs)
+
+    @cached_property
+    def _solved(self) -> tuple[tuple[int | None, ...], ...] | list[int]:
+        """``_star(k, _ints[1])`` with its rows frozen as tuples, or the negative cycle it names."""
+        try:
+            return tuple(map(tuple, _star(self.k, self._ints[1])))
+        except InfeasibleError as exc:
+            return exc.cycle
 
     @classmethod
     def make(cls, k: int, arcs: Mapping[tuple[int, int], object] | Iterable) -> "WeightedDigraph":
@@ -286,17 +294,21 @@ def _cycle_through(m: int, arcs: Mapping[tuple[int, int], int], dist: list[list]
     return cycle + [m + 1]
 
 
+def _solve(w: WeightedDigraph) -> tuple[tuple[int | None, ...], ...]:
+    """The star that ``w`` keeps; a new ``InfeasibleError`` with its cycle if Q(W) is empty."""
+    if type(solved := _instance(w, WeightedDigraph)._solved) is list:
+        raise InfeasibleError(solved)
+    return solved
+
+
 def detect_negative_cycle(w: WeightedDigraph) -> list[int] | None:
     """A simple directed cycle of strictly negative weight, or None.
 
     The cycle is the witness of the Floyd-Warshall pass in ``_star``, a
     node sequence with the start repeated at the end.
     """
-    try:
-        _star(_instance(w, WeightedDigraph).k, w._ints[1])
-    except InfeasibleError as exc:
-        return exc.cycle
-    return None
+    solved = _instance(w, WeightedDigraph)._solved
+    return list(solved) if type(solved) is list else None
 
 
 def cycle_weight(w: WeightedDigraph, cycle: Sequence[int]) -> Fraction:
@@ -319,8 +331,8 @@ def kleene_star(w: WeightedDigraph) -> TropicalMatrix:
 
     The tropical power formula serves as an independent oracle in the tests.
     """
-    scale, arcs = _instance(w, WeightedDigraph)._ints
-    rows = (tuple(INF if x is None else Fraction(x, scale) for x in r) for r in _star(w.k, arcs))
+    star, scale = _solve(w), w._ints[0]
+    rows = (tuple(INF if x is None else Fraction(x, scale) for x in r) for r in star)
     return TropicalMatrix(w.k, w.k, tuple(rows))
 
 
@@ -330,7 +342,7 @@ def equality_partition(w: WeightedDigraph) -> NodePartition:
     Two nodes share a block iff they lie on a common zero-weight cycle,
     i.e. w*_ij = -w*_ji < inf.  The block count equals dim Q(W).
     """
-    dist = _star(_instance(w, WeightedDigraph).k, w._ints[1])
+    dist = _solve(w)
     pairs = [(i + 1, j + 1) for i in range(w.k) for j in range(i + 1, w.k)
              if (a := dist[i][j]) is not None and (b := dist[j][i]) is not None and a + b == 0]
     return NodePartition.make(w.k, weak_components(w.k, pairs))
@@ -375,7 +387,7 @@ def project(w: WeightedDigraph, deleted: Iterable[int]) -> WeightedDigraph:
         raise DomainError("projection index set out of range")
     if len(dset) == w.k:
         raise DomainError("cannot project away every coordinate")
-    scale, dist = w._ints[0], _star(w.k, w._ints[1])
+    scale, dist = w._ints[0], _solve(w)
     keep = list(enumerate((v for v in range(w.k) if v + 1 not in dset), start=1))
     arcs = {(a, b): Fraction(x, scale) for a, r in keep for b, c in keep
             if (x := dist[r][c]) is not None}
@@ -400,19 +412,18 @@ def interior_point(w: WeightedDigraph) -> tuple[Fraction, ...]:
     of the columns is then tight precisely on the zero-cycle arcs.  A cycle
     through a big-M arc outweighs its other arcs, so it is never negative.
     """
-    return _completed_point(_instance(w, WeightedDigraph).k, *w._ints)
+    return _completed_point(_instance(w, WeightedDigraph).k, *w._ints, _solve(w))
 
 
-def _completed_point(k: int, scale: int, arcs: Mapping) -> tuple[Fraction, ...]:
+def _completed_point(k: int, scale: int, arcs: Mapping, star: Sequence) -> tuple[Fraction, ...]:
     """``interior_point`` of the digraph whose weights times ``scale`` are the ints ``arcs``.
 
     The completion adds an arc of weight ``big`` wherever there is none.  A
     shortest path takes at most one, since a second costs more than any
     path saves, so the completed star is min(S[a][b], big + the least entry
-    of row a of S + the least of column b) for the star S of ``arcs`` alone.
+    of row a of S + the least of column b) for ``star``, the star S of ``arcs``.
     """
     big = (k + 1) * (max(map(abs, arcs.values()), default=0) + scale)
-    star = _star(k, arcs)
     to = [min([x for x in col if x is not None]) for col in zip(*star)]
     out = []
     for row in star:

@@ -181,12 +181,12 @@ def envelope_digraph(v: PointConfig) -> WeightedDigraph:
     return WeightedDigraph(v.d + v.n, {(i, v.d + j): x for (i, j), x in arcs.items()})
 
 
-def _on_face(v: PointConfig, g: BipartiteSupportGraph, solve):
-    """``solve(k, L, arcs)`` on the face digraph W#G, with the nodes of ``envelope_digraph``.
+def _on_face(v: PointConfig, g: BipartiteSupportGraph):
+    """(k, L, arcs, star) of the face digraph W#G, on the k nodes of ``envelope_digraph``.
 
     The int ``arcs`` are V's entries times L, reversed for G's arcs, and G
-    must be a subgraph of V's support.  An ``InfeasibleError`` of ``solve``
-    says that the face is empty and becomes an ``EmptyCellError``.
+    must be a subgraph of V's support.  ``star`` is their ``_star``, whose
+    ``InfeasibleError`` says that the face is empty and becomes an ``EmptyCellError``.
     """
     if (_instance(g, BipartiteSupportGraph).d, g.n) != (_instance(v, PointConfig).d, v.n):
         raise ShapeError("graph shape does not match the configuration")
@@ -196,7 +196,7 @@ def _on_face(v: PointConfig, g: BipartiteSupportGraph, solve):
     arcs = {(i, v.d + j): w for (i, j), w in entries.items()}
     arcs.update({(v.d + j, i): -entries[i, j] for i, j in g.arcs})
     try:
-        return solve(v.d + v.n, scale, arcs)
+        return v.d + v.n, scale, arcs, _star(v.d + v.n, arcs)
     except InfeasibleError as exc:
         raise EmptyCellError(f"face is empty: negative cycle {exc.cycle}") from None
 
@@ -236,7 +236,7 @@ def covector_closure(v: PointConfig, g: BipartiteSupportGraph) -> CovectorGraph:
     Adds every support arc lying on a zero-weight cycle of the face
     digraph; raises ``EmptyCellError`` if the face is empty.
     """
-    arcs, star = _on_face(v, g, lambda k, _, arcs: (arcs, _star(k, arcs)))
+    _, _, arcs, star = _on_face(v, g)
     closed = ((r, c - v.d) for (r, c), w in arcs.items() if r <= v.d and star[c - 1][r - 1] == -w)
     return BipartiteSupportGraph(v.d, v.n, frozenset(closed))
 
@@ -265,7 +265,7 @@ def interior_point_of_face(
     v: PointConfig, g: BipartiteSupportGraph
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """``interior_point`` of W#G: tight exactly on closure(G); ``EmptyCellError`` if it is empty."""
-    pt = _on_face(v, g, _completed_point)
+    pt = _completed_point(*_on_face(v, g))
     return pt[: v.d], pt[v.d :]
 
 

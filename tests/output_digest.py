@@ -8,25 +8,41 @@ Two trees that print the same digest return the same values, and raise the
 same errors, on these inputs.  There are ``count`` (default 3000) seeded
 digraphs and as many configurations, with denominators 1, 3 or 97, ``INF``
 entries and ``INF`` point coordinates.  Half of the configuration points lie
-on ties: they are tropical combinations of the columns.  The digraph queries
-are ``detect_negative_cycle``, ``kleene_star``, ``project``,
-``equality_partition``, ``interior_point`` and ``membership``, and the point
-queries are ``covector_of_point``, ``tcone_membership``,
-``halfspace_membership``, and ``Sector.contains`` and
+on ties: they are tropical combinations of the columns.
+
+Every digraph W gets ``detect_negative_cycle``, ``kleene_star``, ``project``,
+``equality_partition``, ``interior_point``, ``membership``, ``cycle_weight``
+of its cycle, ``acyclic_reduction``, ``face`` on every other arc and on the
+arcs tight at its interior point (with the face's ``equality_partition``),
+``intersect`` with its zero weights and with a digraph of one more node, and
+``recession`` and ``cone_face_lattice`` of its zero weights.  Its matrix gets
+``trop_det`` (the optimal permutations too) and ``trop_mat_mul`` by itself.
+
+Every configuration V gets ``covector_of_point``, ``tcone_membership``,
+``halfspace_membership``, ``is_generic``, ``envelope_digraph``, the product
+of V and its transpose, and ``Sector.contains`` and
 ``closed_sector_membership`` at every index from 0 to d + 1 of every column,
 with a point of the wrong length, one that is infinite only, and an apex of
 the wrong length among them.  ``closed_sector_membership`` skips the indices
 where the apex is infinite, which ``Sector`` refuses: its message for them
-names the apex coordinate, while older trees named the apex's support.  Every
-digraph also gets ``recession`` and ``cone_face_lattice`` of its zero weights.
+names the apex coordinate, while older trees named the apex's support.  The
+point's covector graph and the system's selection each get the single-face
+queries ``covector_closure``, ``is_covector_graph``, ``cell_dimension``,
+``interior_point_of_face`` and ``face_projection_matrix``, as does every
+torus cell's graph below.
+
 Every tenth configuration also gets the walks ``enumerate_cells``,
-``regular_subdivision`` and ``projective_decomposition``, and its halfspace
-system ``signed_cells``, ``is_pure`` and ``cells_of_halfspace``; then
-``cell_sample_point`` of every cell of the decomposition, and for every proper
-row set (the empty one included) ``boundary_matrix`` and the
-``cell_boundary_restriction`` of every torus cell.  Cell reprs carry
-``in_tcone``, so boundary cells' cone flags are hashed too.  Only public names
-are used, so the script runs on any tree of the package.
+``enumerate_covector_graphs``, ``regular_subdivision`` and
+``projective_decomposition`` with the ``maximal_cells`` of both cell lists,
+and its halfspace system ``signed_cells``, ``is_pure``,
+``cells_of_halfspace`` and ``signed_graph`` under three sign vectors; then
+``cell_sample_point`` and ``tangent_digraph`` of every cell of the
+decomposition, and for every proper row set (the empty one included)
+``boundary_matrix`` and the ``cell_boundary_restriction`` of every torus
+cell.  Cell reprs carry ``in_tcone``, so boundary cells' cone flags are
+hashed too.  Only public names are used, so the script runs on any tree of
+the package; ``tests/test_package.py`` checks that it calls every public name
+but the few it exempts.
 """
 
 from __future__ import annotations
@@ -44,21 +60,35 @@ from wdpoly import (
     PointConfig,
     ProjectivePoint,
     Sector,
+    SignVector,
     TropicalError,
     WeightedDigraph,
+    acyclic_reduction,
     boundary_matrix,
     cell_boundary_restriction,
+    cell_dimension,
     cell_sample_point,
     cells_of_halfspace,
     cone_face_lattice,
+    covector_closure,
     covector_of_point,
+    cycle_weight,
     detect_negative_cycle,
     enumerate_cells,
+    enumerate_covector_graphs,
+    envelope_digraph,
     equality_partition,
+    face,
+    face_projection_matrix,
     halfspace_membership,
     interior_point,
+    interior_point_of_face,
+    intersect,
+    is_covector_graph,
+    is_generic,
     is_pure,
     kleene_star,
+    maximal_cells,
     membership,
     project,
     projective_decomposition,
@@ -66,7 +96,11 @@ from wdpoly import (
     recession,
     regular_subdivision,
     signed_cells,
+    signed_graph,
+    tangent_digraph,
     tcone_membership,
+    trop_det,
+    trop_mat_mul,
 )
 
 
@@ -83,6 +117,17 @@ def _outcome(call, *args):
 
 def _in_sector(apex, i, x):
     return Sector(apex, i).contains(x)
+
+
+def _determinant(m):
+    r = trop_det(m)
+    perms = r.optimal_permutations
+    return r, sorted(perms) if r.value is not INF else len(perms)
+
+
+def _tight_face(w):
+    f = face(w, membership(w, interior_point(w))[1])
+    return f, equality_partition(f)
 
 
 def sector_results(cols, z):
@@ -112,9 +157,14 @@ def digraph_results(rng):
     out.append(_outcome(project, w, deleted))
     inner = _outcome(interior_point, w)
     out += [inner, _outcome(membership, w, point)]
-    if detect_negative_cycle(w) is None:
-        out.append(_outcome(membership, w, interior_point(w)))
-    gamma = w.zero_weights()
+    cycle = detect_negative_cycle(w)
+    if cycle is None:
+        out += [_outcome(membership, w, interior_point(w)), _outcome(_tight_face, w)]
+    gamma, m = w.zero_weights(), w.to_matrix()
+    out += [_outcome(cycle_weight, w, cycle or [1, 1]), _outcome(acyclic_reduction, w),
+            _outcome(face, w, sorted(w.arcs)[::2]), _outcome(intersect, w, gamma),
+            _outcome(intersect, w, WeightedDigraph.make(k + 1, {})),
+            _outcome(_determinant, m), _outcome(trop_mat_mul, m, m)]
     return out + [_outcome(recession, gamma), _outcome(cone_face_lattice, gamma)]
 
 
@@ -145,19 +195,36 @@ def config_results(rng, walks):
         _outcome(tcone_membership, v, ProjectivePoint.make(z)),
         _outcome(halfspace_membership, h, z),
         _outcome(halfspace_membership, h, finite),
+        _outcome(is_generic, v.v),
+        _outcome(envelope_digraph, v),
+        _outcome(trop_mat_mul, v.v, v.v.transpose()),
         *sector_results(cols, z),
     ]
+    out += face_results(v, [covector_of_point(v, finite), h.psi])
     if walks:
         out += walk_results(v, h)
     return out
+
+
+def face_results(v, graphs):
+    """The single-face queries on each graph."""
+    queries = (covector_closure, is_covector_graph, cell_dimension, interior_point_of_face,
+               face_projection_matrix)
+    return [_outcome(f, v, g) for g in graphs for f in queries]
 
 
 def walk_results(v, h):
     """The walks of V and of its system h, and the per-cell and per-stratum queries."""
     torus, cells = enumerate_cells(v), projective_decomposition(v)
     out = [repr(torus), _outcome(regular_subdivision, v), repr(cells)]
+    out += [_outcome(enumerate_covector_graphs, v), _outcome(maximal_cells, torus),
+            _outcome(maximal_cells, cells)]
     out += [_outcome(f, h) for f in (signed_cells, is_pure, cells_of_halfspace)]
+    for eps in ("+" * v.n, "-" * v.n, ("+-" * v.n)[: v.n]):
+        out.append(_outcome(signed_graph, h.psi, SignVector.make(eps), v.support()))
     out += [_outcome(cell_sample_point, v, c) for c in cells]
+    out += [_outcome(tangent_digraph, h, c) for c in cells]
+    out += face_results(v, [c.graph for c in torus])
     for size in range(v.d):
         for z in itertools.combinations(range(1, v.d + 1), size):
             out.append(_outcome(boundary_matrix, v, z))

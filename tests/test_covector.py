@@ -182,6 +182,16 @@ def test_enumerate_cells_invariants():
         assert covector_of_point(V5, sample).arcs == c.graph.arcs
 
 
+def test_torus_cells_share_one_empty_stratum():
+    # one frozenset for all of them, not one per cell; boundary cells keep their own
+    rng = random.Random(1)
+    v = PointConfig.make([[rng.randint(-60, 60) for _ in range(5)] for _ in range(4)])
+    for cells in (enumerate_cells(v), projective_decomposition(v)):
+        torus = [c for c in cells if not c.stratum]
+        assert len(torus) > 100 and len({id(c.stratum) for c in torus}) == 1
+    assert len(projective_decomposition(v)) > len(torus)
+
+
 def test_maximal_cells_have_minimal_graphs():
     cells = enumerate_cells(V5)
     tops = maximal_cells(cells)

@@ -1,5 +1,7 @@
 """Weighted digraphs: feasibility, stars, faces, recession, face lattices."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wdpoly.digraph
 from wdpoly import (
     INF,
     DomainError,
@@ -613,3 +616,96 @@ def test_witness_leaves_zero_weight_cycles_below_its_top_node():
     # from node 2 the arc back to 1 is as tight as the arc on to 3
     w = WeightedDigraph.make(3, {(3, 1): -1, (1, 2): 0, (2, 1): 0, (2, 3): 0})
     assert detect_negative_cycle(w) == [3, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the kept solve: one Floyd-Warshall pass per digraph, read by the five star queries
+
+
+def _five_queries(deleted=()):
+    return {
+        "detect_negative_cycle": detect_negative_cycle,
+        "kleene_star": kleene_star,
+        "equality_partition": equality_partition,
+        "project": lambda w: project(w, deleted),
+        "interior_point": interior_point,
+    }
+
+
+def _answer(call, w):
+    try:
+        return "value", call(w)
+    except InfeasibleError as exc:
+        return "raised", str(exc), exc.cycle
+
+
+def test_the_five_star_queries_run_one_pass_per_digraph(monkeypatch):
+    passes = []
+    star = wdpoly.digraph._star
+    monkeypatch.setattr(wdpoly.digraph, "_star", lambda k, arcs: passes.append(k) or star(k, arcs))
+    feasible = WeightedDigraph.make(3, {(1, 2): 4, (2, 1): -1, (2, 3): -2, (3, 1): 3})
+    negative = WeightedDigraph.make(3, {(1, 2): 1, (2, 3): -2, (3, 1): 0})
+    for w in (feasible, negative):
+        for _ in range(2):
+            for call in _five_queries({1}).values():
+                _answer(call, w)
+    assert passes == [3, 3]
+
+
+@st.composite
+def _planted_digraphs(draw):
+    """k <= 8 nodes, weights p_i - p_j plus a slack of at least 0 (so p lies in Q(W)), and
+    a planted cycle: as drawn, of slack 0 (a zero-weight cycle), or negative."""
+    k = draw(st.integers(1, 8))
+    node = st.integers(1, k)
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 97))
+    p = draw(st.lists(rational, min_size=k, max_size=k))
+    slack = draw(st.dictionaries(st.tuples(node, node), rational.map(abs), max_size=2 * k))
+    plant = draw(st.sampled_from(["feasible", "zero", "negative"]))
+    cycle = draw(st.lists(node, min_size=1, max_size=k, unique=True))
+    if plant != "feasible":
+        for a in zip(cycle, cycle[1:] + cycle[:1]):
+            slack[a] = Fraction(0)
+    if plant == "negative":
+        slack[cycle[-1], cycle[0]] = -draw(rational.map(abs).filter(bool))
+    return WeightedDigraph.make(k, {(i, j): p[i - 1] - p[j - 1] + s for (i, j), s in slack.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_digraphs(), st.data())
+def test_repeated_star_queries_answer_as_on_a_fresh_equal_digraph(w, data):
+    deleted = data.draw(st.sets(st.integers(1, w.k), max_size=w.k - 1))
+    queries = _five_queries(deleted)
+    order = data.draw(st.permutations(list(queries) * 2))
+    for name in order:
+        fresh = WeightedDigraph.make(w.k, dict(w.arcs))
+        assert _answer(queries[name], w) == _answer(queries[name], fresh), name
+    assert (detect_negative_cycle(w) is None) == (bellman_ford_cycle(w) is None)
+
+
+def test_every_answer_is_fresh():
+    w = WeightedDigraph.make(3, {(1, 2): 1, (2, 3): -2, (3, 1): 0})
+    cycle = detect_negative_cycle(w)
+    cycle.append(7)
+    assert detect_negative_cycle(w) == [3, 1, 2, 3]
+    errors = []
+    queries = _five_queries({1})
+    del queries["detect_negative_cycle"]
+    for call in list(queries.values()) * 2:
+        with pytest.raises(InfeasibleError) as exc:
+            call(w)
+        assert str(exc.value) == "polyhedron is empty: negative cycle [3, 1, 2, 3]"
+        exc.value.cycle.append(7)
+        errors.append(exc.value)
+    assert len(set(map(id, errors))) == len(errors)
+
+
+def test_a_queried_digraph_is_equal_to_a_fresh_one():
+    for arcs in ({(1, 2): 4, (2, 1): -1, (2, 3): "-2/3"}, {(1, 2): 1, (2, 3): -2, (3, 1): 0}):
+        w, fresh = WeightedDigraph.make(3, arcs), WeightedDigraph.make(3, arcs)
+        for call in _five_queries({1}).values():
+            _answer(call, w)
+        assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
+        assert pickle.dumps(w) == pickle.dumps(fresh)
+        for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert twin == fresh and "_solved" not in vars(twin)

@@ -233,6 +233,31 @@ def test_the_cli_and_the_readers_reach_the_cell_layers_through_the_package():
     assert inner == {"from .dot import dot_of_digraph", "from .svg import render_svg"}
 
 
+# public names that tests/output_digest.py need not call by name
+DIGEST_EXEMPT = {
+    # scalar values and ops: every query's arithmetic runs through them
+    "Infinity", "TVal", "is_finite", "tadd", "tmul", "tsum", "tval",
+    # errors: the digest hashes each raised error's class name and message
+    "CapabilityError", "DomainError", "EmptyCellError", "FormatError", "InconsistentFaceError",
+    "InfeasibleError", "ShapeError", "ValueTypeError",
+    # records the queries take or return: the digest hashes their reprs
+    "CellRecord", "ConeFaceLattice", "CovectorGraph", "NodePartition", "RecessionDecomposition",
+    "SubdivisionCell", "TangentDigraph", "TropicalDetResult", "TropicalMatrix",
+}
+
+
+def test_the_output_digest_calls_every_public_name():
+    # a whole identifier in the code, not a substring: "face" inside "interior_point_of_face"
+    # or a docstring does not count, nor does an import the script never uses
+    path = os.path.join(os.path.dirname(__file__), "output_digest.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    used = {x.id for x in ast.walk(tree) if isinstance(x, ast.Name)}
+    used |= {x.attr for x in ast.walk(tree) if isinstance(x, ast.Attribute)}
+    assert DIGEST_EXEMPT <= set(wdpoly.__all__)
+    assert sorted(set(wdpoly.__all__) - used - DIGEST_EXEMPT) == []
+
+
 def test_help_names_every_verb_and_a_typo_is_a_usage_error(capsys):
     assert run(["--help"]) == 0
     verbs = ("kleene", "feasible", "faces", "rays", "envelope", "cells", "subdivision",
