@@ -63,10 +63,7 @@ def _cmd_faces(args):
 
 def _cmd_rays(args):
     rec = dg.recession(_load_digraph(args.input))
-    return {
-        "lineality": [list(r) for r in rec.lineality_generators],
-        "rays": [list(r) for r in rec.ray_generators],
-    }, 0
+    return {"lineality": rec.lineality_generators, "rays": rec.ray_generators}, 0
 
 
 def _cmd_envelope(args):
@@ -123,11 +120,8 @@ def _cmd_tangent(args):
         stratum=wdpoly.covector._TORUS,
     )
     t = wdpoly.tangent_digraph(system, record)
-    return {
-        "columns": list(t.columns),
-        "row_to_col": [list(a) for a in sorted(t.row_to_col)],
-        "col_to_row": [list(a) for a in sorted(t.col_to_row)],
-    }, 0
+    fwd, back = sorted(t.row_to_col), sorted(t.col_to_row)
+    return {"columns": t.columns, "row_to_col": fwd, "col_to_row": back}, 0
 
 
 def _cmd_export_dot(args):

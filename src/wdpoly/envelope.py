@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .digraph import (
     WeightedDigraph,
@@ -23,7 +25,6 @@ from .digraph import (
     _rays,
     _scaled,
     _star,
-    weak_components,
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, InfeasibleError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
@@ -104,43 +105,42 @@ class BipartiteSupportGraph(_Record):
 
     def weak_component_count(self) -> int:
         """Weak components on the full node set [d] | [n], isolated nodes included."""
-        shifted = [(i, self.d + j) for (i, j) in self.arcs]
-        return len(weak_components(self.d + self.n, shifted))
+        return sum(1 for _ in _components(self.d, self.n, self.arcs))
 
     def nontrivial_components(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """Weak components with at least one arc, as (row set, column set) pairs."""
-        shifted = [(i, self.d + j) for (i, j) in self.arcs]
-        out = []
-        for comp in weak_components(self.d + self.n, shifted):
-            if len(comp) > 1:
-                rows = frozenset(v for v in comp if v <= self.d)
-                cols = frozenset(v - self.d for v in comp if v > self.d)
-                out.append((rows, cols))
-        return out
+        d, n = self.d, self.n
+        return [
+            (frozenset(i for i in range(1, d + 1) if q >> i - 1 & 1),
+             frozenset(j for j in range(1, n + 1) if q >> d + j - 1 & 1))
+            for q in _components(d, n, self.arcs)
+            if q & q - 1
+        ]
 
     def tuple_string(self, stratum: Iterable[int] = ()) -> str:
-        """Human rendering by rows, e.g. ``(13,2,2)``.
+        """Human rendering by rows, e.g. ``(13,2,2)``, with ``|`` between columns when n > 9.
 
         A row is ``-`` when it has no arc and ``•`` when it is in the
         stratum of rows sent to infinity.
         """
-        marked = frozenset(_position(i, self.d, "row") + 1 for i in _iterable(stratum, "a stratum"))
-        parts = []
-        wide = self.n > 9
-        for i in range(1, self.d + 1):
-            cols = self.row_neighbors(i)
-            if i in marked:
-                parts.append("•")
-            elif not cols:
-                parts.append("-")
-            elif wide:
-                parts.append("|".join(str(c) for c in cols))
-            else:
-                parts.append("".join(str(c) for c in cols))
+        parts = ["-"] * self.d
+        sep = "|" if self.n > 9 else ""
+        for i, row in groupby(self.sorted_arcs(), itemgetter(0)):
+            parts[i - 1] = sep.join([str(j) for _, j in row])
+        for i in _iterable(stratum, "a stratum"):
+            parts[_position(i, self.d, "row")] = "•"
         return "(" + ",".join(parts) + ")"
 
     def sorted_arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.arcs))
+
+
+def _components(d: int, n: int, arcs: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """The weak components of ``arcs`` on [d] | [n] as node masks, least node first.
+
+    Row i is node i-1 and column j is node d+j-1; an isolated node is a component.
+    """
+    return _parts(_masks(d + n, [(i - 1, d + j - 1) for i, j in arcs])[1], (1 << d + n) - 1)
 
 
 _GRIDS: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
@@ -331,7 +331,7 @@ def _merged(labels: list[int], count: int, arcs: list[tuple[int, int]], d: int, 
 
 
 def _climb(v: PointConfig, candidate_bound: int, arcs, cover, stop: bool):
-    minimal = _merged(list(range(v.d + v.n)), v.d + v.n, arcs, v.d, (1 << len(arcs)) - 1)[1]
+    minimal = sum(1 for _ in _components(v.d, v.n, arcs))
     nodes = [(1 << b, i - 1, v.d + j - 1, w) for b, ((i, j), w) in enumerate(v._ints[1].items())]
     # per column: the arcs that may cover it, as nodes, and the mask of their bits
     grow = [[x for x, a in zip(nodes, arcs) if a[1] == j + 1 and a in cover] for j in range(v.n)]
@@ -459,7 +459,7 @@ def _vertices(v: PointConfig, bound: int):
         touch[r] |= 1 << b
         touch[c] |= 1 << b
         least_in[c] = min(least_in.get(c, w), w)
-    parts = [q for q in _parts(_masks(k, pairs)[1], (1 << k) - 1) if q & q - 1]
+    parts = [q for q in _components(d, v.n, arcs) if q & q - 1]
     components = k - sum(q.bit_count() - 1 for q in parts)
 
     def crossing(q):

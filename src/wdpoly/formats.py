@@ -2,7 +2,8 @@
 
 Rationals travel as strings ("3", "-1/2"), infinity as "inf"; all node,
 row and column indices are 1-based.  Serialization is deterministic:
-fixed key order, fixed sorting of arc lists and cells.
+fixed key order, fixed sorting of arc lists and cells.  The objects built
+for ``json`` hold the records' own tuples, which it writes as arrays.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def digraph_to_obj(w: WeightedDigraph) -> dict:
     }
 
 
-def partition_to_obj(p: NodePartition) -> list[list[int]]:
-    return [list(b) for b in p.blocks]
+def partition_to_obj(p: NodePartition) -> tuple[tuple[int, ...], ...]:
+    return p.blocks
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def parse_point(raw: str, *, path=None) -> list[TVal]:
 
 def cell_to_obj(c: CellRecord) -> dict:
     return {
-        "covector": [list(a) for a in c.graph.sorted_arcs()],
+        "covector": c.graph.sorted_arcs(),
         "tuple": c.tuple_string(),
         "dim": c.dimension,
         "bounded": c.bounded,
@@ -229,7 +230,7 @@ def cell_to_obj(c: CellRecord) -> dict:
 
 
 def subdivision_cell_to_obj(c: SubdivisionCell) -> dict:
-    return {"vertices": [list(a) for a in sorted(c.vertices)], "dim": c.dimension}
+    return {"vertices": sorted(c.vertices), "dim": c.dimension}
 
 
 def point_to_obj(x: Sequence[TVal]) -> list[str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .envelope import PointConfig, _arcs_of, _vertices
+from .envelope import PointConfig, _arcs_of, _components, _vertices
 from .errors import CapabilityError
 from .semiring import _instance
 
@@ -65,9 +65,9 @@ def render_svg(v: PointConfig) -> str:
 
     segments += [(x, _clip_ray(x, direction(ray), r)) for x, ray in unbounded]
     if components == 2:
-        # each vertex is a line along the lineality direction of row 1's component
-        parts = v.support().nontrivial_components()
-        dx, dy = direction(next((sum(1 << i - 1 for i in q) for q, _ in parts if 1 in q), 1))
+        # each vertex is a line along the lineality direction of row 1's component: the first
+        # node mask, whose bits 0-2 are its rows
+        dx, dy = direction(next(_components(3, v.n, arcs)) & 7)
         for x in points.values():
             segments.append((_clip_ray(x, (dx, dy), r), _clip_ray(x, (-dx, -dy), r)))
 

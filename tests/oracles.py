@@ -20,7 +20,8 @@ flipped selection per sign vector, the cells of a halfspace system by
 filtering every torus cell, pureness from every cell of the system, and
 the SVG of a 3-row configuration from every torus cell with one
 projected face and one recession cone per 1-cell (``render_svg_by_cells``;
-the library draws the vertices and edges of the envelope's vertex walk).
+the library draws the vertices and edges of the envelope's vertex walk),
+and type tuples row by row (the library groups one pass over the sorted arcs).
 Projections, digraph membership and covector graphs are also computed in
 Fraction arithmetic (the library scales every weight and point to ints).
 Only names that ``wdpoly`` exports are used, so no oracle shares a
@@ -242,6 +243,29 @@ def rays_by_subsets(w: WeightedDigraph) -> RecessionDecomposition:
                 if nx.is_connected(und.subgraph(kset)) and nx.is_connected(und.subgraph(rest)):
                     rays.append(chi(kset))
     return RecessionDecomposition(tuple(chi(set(c)) for c in comps), tuple(sorted(rays)))
+
+
+# ---------------------------------------------------------------------------
+# type tuples
+
+
+def tuple_string_by_rows(g: BipartiteSupportGraph, stratum=()) -> str:
+    """``BipartiteSupportGraph.tuple_string`` with one ``row_neighbors`` call per row.
+
+    A row in ``stratum`` is ``•``, a row with no arc ``-``, and the others list their
+    columns, joined by ``|`` when n > 9.
+    """
+    marked = set(stratum)
+    parts = []
+    for i in range(1, g.d + 1):
+        cols = g.row_neighbors(i)
+        if i in marked:
+            parts.append("•")
+        elif not cols:
+            parts.append("-")
+        else:
+            parts.append(("|" if g.n > 9 else "").join(str(c) for c in cols))
+    return "(" + ",".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------

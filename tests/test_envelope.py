@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from wdpoly import (
     is_covector_graph,
     is_generic,
     membership,
+    projective_decomposition,
     recession,
     regular_subdivision,
 )
@@ -45,6 +47,7 @@ from oracles import (
     lower_hull_cells,
     random_config,
     subdivision_by_covector_graphs,
+    tuple_string_by_rows,
 )
 
 # three points in the plane, two of them on the boundary of finiteness
@@ -99,6 +102,73 @@ def test_weak_component_count_includes_isolated_nodes():
     g = G(2, 2, [(1, 1)])
     assert g.weak_component_count() == 3
     assert g.nontrivial_components() == [(frozenset({1}), frozenset({1}))]
+
+
+def test_tuple_string_separates_columns_by_bars_from_n_10():
+    assert G(3, 9, [(1, 1), (1, 9), (2, 5)]).tuple_string([3]) == "(19,5,•)"
+    assert G(3, 10, [(1, 1), (1, 10), (2, 5), (2, 9), (2, 10)]).tuple_string([3]) == "(1|10,5|9|10,•)"
+
+
+@st.composite
+def _graphs_and_strata(draw):
+    """A support graph of up to 6 x 12 and a stratum of its rows, in drawn order."""
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    grid = [(i, j) for i in range(1, d + 1) for j in range(1, n + 1)]
+    arcs = draw(st.sets(st.sampled_from(grid)))
+    return G(d, n, arcs), draw(st.lists(st.integers(1, d), unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_and_strata())
+@example((G(4, 10, [(1, 10), (1, 1), (2, 9), (4, 3), (4, 10)]), [3]))
+@example((G(6, 12, [(1, 12), (1, 11), (1, 2), (3, 5), (5, 10), (6, 1)]), [6, 2]))
+def test_tuple_string_matches_the_per_row_oracle(case):
+    g, stratum = case
+    assert g.tuple_string(stratum) == tuple_string_by_rows(g, stratum)
+    assert g.tuple_string(iter(stratum)) == tuple_string_by_rows(g, stratum)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32))
+@example(2, 10, 1)
+@example(3, 12, 2)
+def test_cell_tuple_strings_match_the_per_row_oracle(d, n, seed):
+    v = random_config(random.Random(seed), d, n)
+    for c in projective_decomposition(v):
+        assert c.tuple_string() == tuple_string_by_rows(c.graph, c.stratum)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_and_strata())
+def test_components_match_networkx(case):
+    g = case[0]
+    und = nx.Graph()
+    und.add_nodes_from([("r", i) for i in range(1, g.d + 1)] + [("c", j) for j in range(1, g.n + 1)])
+    und.add_edges_from((("r", i), ("c", j)) for i, j in g.arcs)
+    comps = list(nx.connected_components(und))
+    assert g.weak_component_count() == len(comps)
+    expect = [
+        (frozenset(x for s, x in comp if s == "r"), frozenset(x for s, x in comp if s == "c"))
+        for comp in comps
+        if len(comp) > 1
+    ]
+    # least node first: each has a row, and rows come before columns
+    assert g.nontrivial_components() == sorted(expect, key=lambda rc: min(rc[0]))
+
+
+def test_support_graphs_check_their_arcs_after_the_shape_cache_is_cleared():
+    envelope._GRIDS.clear()
+    shapes = [(d, n) for d in range(1, 14) for n in range(1, 6)]
+    for d, n in shapes:
+        assert G(d, n, [(d, n)]).arcs == {(d, n)}
+    # the 65th shape cleared the 64 before it
+    assert list(envelope._GRIDS) == [(13, 5)]
+    for d, n in shapes:
+        with pytest.raises(DomainError, match="outside"):
+            G(d, n, [(1, 1), (d + 1, n)])
+        with pytest.raises(DomainError, match="outside"):
+            BipartiteSupportGraph(d, n, frozenset({(d, n + 1)}))
+        assert G(d, n, [(1, 1), (d, n)]).arcs == {(1, 1), (d, n)}
 
 
 def test_envelope_digraph_shape():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wdpoly
 from wdpoly import INF, DomainError, FormatError, PointConfig, ValueTypeError, WeightedDigraph
 from wdpoly import formats as fmt
 from wdpoly.cli import run
@@ -597,6 +598,100 @@ def test_cli_export_dot_and_svg(tmp_path, capsys):
     out = tmp_path / "pic.svg"
     assert run(["plot-svg", vpath, "-o", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("<svg")
+
+
+def _cell_fields(c):
+    """The fields of ``cell_to_obj`` read off the record, as ``json.loads`` returns them."""
+    return {
+        "covector": [[i, j] for i, j in sorted(c.graph.arcs)],
+        "tuple": c.tuple_string(),
+        "dim": c.dimension,
+        "bounded": c.bounded,
+        "in_tcone": c.in_tcone,
+        "stratum": sorted(c.stratum),
+    }
+
+
+# a digraph with a loop, a zero-weight cycle and a node of its own
+FACES_DIGRAPH = {
+    "nodes": 4,
+    "arcs": [
+        {"from": 1, "to": 2, "w": "1"},
+        {"from": 2, "to": 1, "w": "-1"},
+        {"from": 2, "to": 3, "w": "1/2"},
+        {"from": 3, "to": 3, "w": "0"},
+    ],
+}
+
+
+def test_cli_faces_lists_the_cone_face_lattice(tmp_path, capsys):
+    path = write(tmp_path, "w.json", FACES_DIGRAPH)
+    assert run(["faces", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lattice = wdpoly.cone_face_lattice(fmt.parse_digraph(FACES_DIGRAPH).zero_weights())
+    assert out["partitions"] == [[list(b) for b in p.blocks] for p in lattice.elements]
+    assert out["minimum"] == [list(b) for b in lattice.minimum.blocks]
+    assert out["top"] == [list(b) for b in lattice.top.blocks]
+    assert len(out["partitions"]) > 1
+
+
+def test_cli_rays_lists_the_recession_generators(tmp_path, capsys):
+    path = write(tmp_path, "w.json", FACES_DIGRAPH)
+    assert run(["rays", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    rec = wdpoly.recession(fmt.parse_digraph(FACES_DIGRAPH))
+    assert out["lineality"] == [list(r) for r in rec.lineality_generators]
+    assert out["rays"] == [list(r) for r in rec.ray_generators]
+    assert out["rays"]
+
+
+def test_cli_envelope_lists_the_envelope_digraph(tmp_path, capsys):
+    path = write(tmp_path, "v.json", CONFIG_OBJ)
+    assert run(["envelope", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    env = wdpoly.envelope_digraph(fmt.parse_point_config(CONFIG_OBJ))
+    assert out["nodes"] == env.k == 6
+    assert [(a["from"], a["to"]) for a in out["arcs"]] == sorted(env.arcs)
+    assert {(a["from"], a["to"]): Fraction(a["w"]) for a in out["arcs"]} == env.arcs
+
+
+PURE_SYSTEM = {
+    "matrix": {"rows": 2, "cols": 2, "entries": [["0", "1"], ["2", "0"]]},
+    "selection": [[1, 1], [2, 2]],
+}
+
+# maximal cells of dimensions 2 and 1
+NON_PURE_SYSTEM = {
+    "matrix": {"rows": 3, "cols": 3, "entries": [["-1", "3", "3"], ["-1", "0", "-1"], ["-2", "-2", "-3"]]},
+    "selection": [[1, 1], [1, 2], [1, 3], [2, 3], [3, 1], [3, 2]],
+}
+
+
+def test_cli_pure_on_a_pure_system(tmp_path, capsys):
+    path = write(tmp_path, "h.json", PURE_SYSTEM)
+    assert run(["pure", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"pure": True}
+    assert wdpoly.is_pure(fmt.parse_system(PURE_SYSTEM)) == (True, None)
+
+
+def test_cli_pure_prints_a_two_cell_witness(tmp_path, capsys):
+    path = write(tmp_path, "h.json", NON_PURE_SYSTEM)
+    assert run(["pure", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ok, pair = wdpoly.is_pure(fmt.parse_system(NON_PURE_SYSTEM))
+    assert ok is False and out["pure"] is False
+    assert out["witness"] == [_cell_fields(pair[0]), _cell_fields(pair[1])]
+    assert out["witness"][0]["dim"] != out["witness"][1]["dim"]
+
+
+def test_cli_signed_lists_the_cells_of_each_sign_vector(tmp_path, capsys):
+    path = write(tmp_path, "h.json", NON_PURE_SYSTEM)
+    assert run(["signed", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    table = wdpoly.signed_cells(fmt.parse_system(NON_PURE_SYSTEM))
+    assert list(out) == sorted(table) == ["+++", "++-", "+-+", "+--", "-++", "-+-", "--+", "---"]
+    assert out == {eps: [_cell_fields(c) for c in cells] for eps, cells in table.items()}
+    assert out["+++"]
 
 
 @pytest.mark.parametrize("arcs", [[], [[1, 1]]], ids=["empty", "one column"])

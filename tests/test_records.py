@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,26 @@ def test_records_build_by_position_or_name():
                          (values[:4], {"strata": cell.stratum})]:
         with pytest.raises(TypeError):
             wdpoly.CellRecord(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in SAMPLES if getattr(wdpoly, n).__init__ is _Record.__init__)
+)
+def test_records_of_the_shared_constructor_build_by_name(name):
+    rec = SAMPLES[name][0]()
+    cls, fields = type(rec), type(rec)._fields
+    values = [getattr(rec, f) for f in fields]
+    assert cls(**dict(zip(fields, values))) == rec
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == rec
+    named = re.escape(f"{name}() takes the fields {', '.join(fields)}")
+    for args, kwargs in [
+        (values[:-1], {}),  # a field missing
+        (values[:-1], {"no_such_field": values[-1]}),  # an unknown field
+        (values, {fields[0]: values[0]}),  # a field given twice
+        (values + [values[0]], {}),  # one value too many
+    ]:
+        with pytest.raises(TypeError, match=named):
+            cls(*args, **kwargs)
 
 
 def test_slotted_records_keep_no_instance_dict():
