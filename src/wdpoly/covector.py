@@ -16,12 +16,12 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .digraph import WeightedDigraph, _flood, _masks, _parts, _rescaled, _scaled
+from .digraph import WeightedDigraph, _flood, _masks, _parts
 from .envelope import BipartiteSupportGraph, CovectorGraph, PointConfig, interior_point_of_face
 from .envelope import _arcs_of, _walk
 from .errors import CapabilityError, DomainError, EmptyCellError, ShapeError, ValueTypeError
 from .semiring import INF, TVal, _bound, _index, _instance, _iterable, _position, is_finite, tpoint
-from .semiring import _point, _Record
+from .semiring import _point, _Record, _rescaled, _scaled
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def _covector(view: tuple, n: int, pt: Sequence[TVal]) -> tuple[int, list, list[
 
     Row i attains column j's max, the argmin of v_ij - pt_i, iff pt lies in
     the closed sector i of apex j.  V's int ``view`` of n columns and pt are compared as
-    ints scaled by ``digraph._rescaled``, so adding a constant to pt changes only the maxima.
+    ints scaled by ``semiring._rescaled``, so adding a constant to pt changes only the maxima.
     An infinite pt_i gives INF, so a column whose support meets one is attained exactly there.
     """
     scale, ints = view

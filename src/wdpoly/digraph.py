@@ -12,10 +12,9 @@ and their one star (``_solved``); a point joins them at lcm(L, its denominators)
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CapabilityError,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .matrix import TropicalMatrix
 from .semiring import INF, TVal, _Record, _bound, _index, _instance, _iterable, _position
-from .semiring import _point, tval
+from .semiring import _point, _rescaled, _scaled, tval
 
 
 class _Arcs(dict):
@@ -218,22 +217,6 @@ def strong_components(k: int, arcs: Iterable[tuple[int, int]]) -> list[tuple[int
 
 # ---------------------------------------------------------------------------
 # feasibility and shortest paths
-
-
-def _scaled(weights: Mapping) -> tuple[int, dict]:
-    """(L, each weight times L as an int), L the LCM of the denominators.
-
-    The shortest-path kernel only adds and compares these ints, which L > 0
-    keeps exact; a result becomes a Fraction only in a public value.
-    """
-    scale = lcm(*(x.denominator for x in weights.values()))
-    return scale, {a: x.numerator * (scale // x.denominator) for a, x in weights.items()}
-
-
-def _rescaled(scale: int, pt: Sequence[TVal]) -> tuple[int, int, list]:
-    """(L', L' / scale, pt times L' as ints or INF): L' = lcm(scale, pt's denominators)."""
-    big = lcm(scale, *(c.denominator for c in pt if c is not INF))
-    return big, big // scale, [c if c is INF else c.numerator * (big // c.denominator) for c in pt]
 
 
 def _star(k: int, arcs: Mapping[tuple[int, int], int]) -> list[list[int | None]]:

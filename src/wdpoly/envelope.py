@@ -23,12 +23,11 @@ from .digraph import (
     _masks,
     _parts,
     _rays,
-    _scaled,
     _star,
 )
 from .errors import CapabilityError, DomainError, EmptyCellError, InfeasibleError, ShapeError
 from .matrix import TropicalMatrix, trop_mat_mul
-from .semiring import INF, _Record, _bound, _index, _instance, _iterable, _position
+from .semiring import INF, _Record, _bound, _index, _instance, _iterable, _position, _scaled
 
 
 class PointConfig(_Record):
@@ -123,9 +122,13 @@ class BipartiteSupportGraph(_Record):
         A row is ``-`` when it has no arc and ``•`` when it is in the
         stratum of rows sent to infinity.
         """
+        return self._tuple_string(self.sorted_arcs(), stratum)
+
+    def _tuple_string(self, arcs: Iterable[tuple[int, int]], stratum: Iterable[int]) -> str:
+        """``tuple_string(stratum)`` given this graph's arcs in sorted order."""
         parts = ["-"] * self.d
         sep = "|" if self.n > 9 else ""
-        for i, row in groupby(self.sorted_arcs(), itemgetter(0)):
+        for i, row in groupby(arcs, itemgetter(0)):
             parts[i - 1] = sep.join([str(j) for _, j in row])
         for i in _iterable(stratum, "a stratum"):
             parts[_position(i, self.d, "row")] = "•"

@@ -219,9 +219,10 @@ def parse_point(raw: str, *, path=None) -> list[TVal]:
 
 
 def cell_to_obj(c: CellRecord) -> dict:
+    arcs = c.graph.sorted_arcs()  # one sort renders both fields
     return {
-        "covector": c.graph.sorted_arcs(),
-        "tuple": c.tuple_string(),
+        "covector": arcs,
+        "tuple": c.graph._tuple_string(arcs, c.stratum),
         "dim": c.dimension,
         "bounded": c.bounded,
         "in_tcone": c.in_tcone,

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ShapeError, ValueTypeError
 from .semiring import INF, TVal, _bound, _index, _iterable, _position, tadd, tmul, tsum, tval
-from .semiring import _Record, _instance
+from .semiring import _Record, _instance, _scaled
 
 
 class TropicalMatrix(_Record):
@@ -114,16 +114,24 @@ def trop_mat_mul(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(a.rows, b.cols, out)
 
 
-def _add_row(table: dict, row: Sequence[TVal]) -> dict:
-    """Add one row to an assignment table, which maps each column set (a
-    bitmask) to the least finite sum of a bijection from the rows so far
-    onto it and the number of bijections attaining that sum."""
-    out: dict[int, tuple[Fraction, int]] = {}
+def _int_rows(rows: Sequence[Sequence[TVal]]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(L, each row's finite entries as (column bit, entry times L)), scaled by ``_scaled``."""
+    scale, ints = _scaled({(i, j): x for i, r in enumerate(rows) for j, x in enumerate(r)
+                           if x is not INF})
+    return scale, [[(1 << j, ints[i, j]) for j, x in enumerate(r) if x is not INF]
+                   for i, r in enumerate(rows)]
+
+
+def _add_row(table: dict, row: Sequence[tuple[int, int]]) -> dict:
+    """Add a row of ``_int_rows`` to an assignment table: each column set (a bitmask) that a
+    bijection of finite entries from the rows so far reaches maps to the least sum, an int at
+    the rows' scale, and the number of bijections attaining it.  An absent set's sum is INF."""
+    out: dict[int, tuple[int, int]] = {}
     for mask, (val, cnt) in table.items():
-        for j, e in enumerate(row):
-            if e is INF or mask >> j & 1:
+        for bit, e in row:
+            if mask & bit:
                 continue
-            key, w = mask | 1 << j, val + e
+            key, w = mask | bit, val + e
             cur = out.get(key)
             if cur is None or w < cur[0]:
                 out[key] = (w, cnt)
@@ -144,17 +152,18 @@ class TropicalDetResult(_Record):
         """Every sigma attaining the value, sigma[i-1] the column of row i."""
         k = len(self._rows)
         if self.value is INF:
-            return frozenset(tuple(j + 1 for j in p) for p in itertools.permutations(range(k)))
+            return frozenset(itertools.permutations(range(1, k + 1)))
         # an optimal bijection is optimal on every row prefix: walk the levels down
-        levels = list(itertools.accumulate(self._rows, _add_row, initial={0: (Fraction(0), 1)}))
+        rows = _int_rows(self._rows)[1]
+        levels = list(itertools.accumulate(rows, _add_row, initial={0: (0, 1)}))
         paths = [((1 << k) - 1, ())]
         for i in range(k, 0, -1):
             here, below = levels[i], levels[i - 1]
             paths = [
-                (m, (j + 1,) + tail)
+                (m, (bit.bit_length(),) + tail)
                 for mask, tail in paths
-                for j, e in enumerate(self._rows[i - 1])
-                if mask >> j & 1 and (m := mask ^ 1 << j) in below
+                for bit, e in rows[i - 1]
+                if mask & bit and (m := mask ^ bit) in below
                 and below[m][0] + e == here[mask][0]
             ]
         return frozenset(tail for _, tail in paths)
@@ -163,19 +172,19 @@ class TropicalDetResult(_Record):
 def trop_det(a: TropicalMatrix, *, perm_bound: int = 9) -> TropicalDetResult:
     """Tropical determinant: minimum over permutations of the diagonal sum.
 
-    An assignment table over column subsets grows one row at a time
-    (k * 2^(k-1) additions).  The result *vanishes* if the value is INF or
-    attained at least twice.  ``perm_bound`` caps k, because reading
-    ``optimal_permutations`` may list up to k! permutations.
+    An assignment table over column subsets grows one row at a time (k * 2^(k-1)
+    additions of ints, the entries times the LCM of their denominators).  The result
+    *vanishes* if the value is INF or attained at least twice.  ``perm_bound`` caps
+    k, because reading ``optimal_permutations`` may list up to k! permutations.
     """
     if not _instance(a, TropicalMatrix).is_square:
         raise ShapeError("tropical determinant needs a square matrix")
     k = a.rows
     if k > _bound(perm_bound, "a permutation bound"):
         raise CapabilityError(f"tropical determinant is limited to k <= {perm_bound}, got {k}")
-    table = reduce(_add_row, a.entries, {0: (Fraction(0), 1)})
-    value, count = table.get((1 << k) - 1, (INF, 0))
-    return TropicalDetResult(value, count != 1, a.entries)
+    scale, rows = _int_rows(a.entries)
+    value, count = reduce(_add_row, rows, {0: (0, 1)}).get((1 << k) - 1, (None, 0))
+    return TropicalDetResult(Fraction(value, scale) if count else INF, count != 1, a.entries)
 
 
 def is_generic(
@@ -196,14 +205,14 @@ def is_generic(
         raise CapabilityError(
             f"genericity test would enumerate {total} submatrices (bound {submatrix_bound})"
         )
-    tables = {(): {0: (Fraction(0), 1)}}
+    ints, tables = _int_rows(v.entries)[1], {(): {0: (0, 1)}}
     for k in range(1, min(d, n) + 1):
         prefixes, tables = tables, {}
         col_sets = itertools.combinations(range(1, n + 1), k)
         minors = [(cols, sum(1 << j - 1 for j in cols)) for cols in col_sets]
         for rows in itertools.combinations(range(1, d + 1), k):
-            table = tables[rows] = _add_row(prefixes[rows[:-1]], v.entries[rows[-1] - 1])
+            table = tables[rows] = _add_row(prefixes[rows[:-1]], ints[rows[-1] - 1])
             for cols, mask in minors:
-                if table.get(mask, (INF, 0))[1] != 1:  # INF or attained twice
+                if table.get(mask, (None, 0))[1] != 1:  # INF or attained twice
                     return False, (rows, cols)
     return True, None

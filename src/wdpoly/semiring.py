@@ -6,10 +6,12 @@ arithmetic is exact; floating point input is rejected.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import DomainError, ShapeError, ValueTypeError
 
@@ -68,9 +70,7 @@ def tval(x) -> TVal:
     every computation stays exact; a string that is not a rational raises
     ``DomainError``.
     """
-    if isinstance(x, Infinity):
-        return INF
-    if isinstance(x, Fraction):
+    if type(x) is Fraction or x is INF or isinstance(x, Fraction):  # exact types first, cheaply
         return x
     if isinstance(x, bool):
         raise ValueTypeError("boolean is not a tropical value")
@@ -231,3 +231,16 @@ def tsum(values: Iterable[TVal]) -> TVal:
         if v < out:
             out = v
     return out
+
+
+def _scaled(weights: Mapping) -> tuple[int, dict]:
+    """(L, each weight times L as an int), L the LCM of the denominators: the one int view
+    that digraphs, configurations and matrices add and compare, exact since L > 0."""
+    scale = lcm(*(x.denominator for x in weights.values()))
+    return scale, {a: x.numerator * (scale // x.denominator) for a, x in weights.items()}
+
+
+def _rescaled(scale: int, pt: Sequence[TVal]) -> tuple[int, int, list]:
+    """(L', L' / scale, pt times L' as ints or INF): L' = lcm(scale, pt's denominators)."""
+    big = lcm(scale, *(c.denominator for c in pt if c is not INF))
+    return big, big // scale, [c if c is INF else c.numerator * (big // c.denominator) for c in pt]

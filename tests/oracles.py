@@ -14,7 +14,8 @@ sectors by the stratum rule and the sector inequalities, connectivity
 and strong components via networkx, covector closures and enumeration
 by fresh Bellman-Ford rounds and pairwise unions, cell boundedness via
 the projection matrix of the face, tropical determinants and genericity
-via all permutations of every square submatrix, the cells of the
+via all permutations of every square submatrix and via assignment tables
+that add Fractions (the library's tables add ints), the cells of the
 boundary strata via relabelled sub-configurations, signed cells by one
 flipped selection per sign vector, the cells of a halfspace system by
 filtering every torus cell, pureness from every cell of the system, and
@@ -802,6 +803,60 @@ def is_generic_by_minors(v: TropicalMatrix):
             for cols in itertools.combinations(range(1, n + 1), k):
                 _, _, vanishes = trop_det_by_permutations(v.submatrix(rows, cols))
                 if vanishes:
+                    return False, (rows, cols)
+    return True, None
+
+
+def _add_fraction_row(table: dict, row) -> dict:
+    """One row more in a Fraction assignment table: column mask -> (least sum, count)."""
+    out: dict[int, tuple[Fraction, int]] = {}
+    for mask, (val, cnt) in table.items():
+        for j, e in enumerate(row):
+            if e is INF or mask >> j & 1:
+                continue
+            key, w = mask | 1 << j, val + e
+            cur = out.get(key)
+            if cur is None or w < cur[0]:
+                out[key] = (w, cnt)
+            elif w == cur[0]:
+                out[key] = (w, cur[1] + cnt)
+    return out
+
+
+def trop_det_by_tables(a: TropicalMatrix):
+    """(value, optimal permutations, vanishes) by assignment tables that add Fractions."""
+    k = a.rows
+    levels = list(itertools.accumulate(a.entries, _add_fraction_row, initial={0: (Fraction(0), 1)}))
+    value, count = levels[-1].get((1 << k) - 1, (INF, 0))
+    if value is INF:
+        opt = frozenset(itertools.permutations(range(1, k + 1)))
+        return value, opt, True
+    # an optimal bijection is optimal on every row prefix: walk the levels down
+    paths = [((1 << k) - 1, ())]
+    for i in range(k, 0, -1):
+        here, below = levels[i], levels[i - 1]
+        paths = [
+            (m, (j + 1,) + tail)
+            for mask, tail in paths
+            for j, e in enumerate(a.entries[i - 1])
+            if e is not INF and mask >> j & 1 and (m := mask ^ 1 << j) in below
+            and below[m][0] + e == here[mask][0]
+        ]
+    return value, frozenset(tail for _, tail in paths), count != 1
+
+
+def is_generic_by_tables(v: TropicalMatrix):
+    """``is_generic`` by Fraction tables, the table of k rows extending that of their first k-1."""
+    d, n = v.rows, v.cols
+    tables = {(): {0: (Fraction(0), 1)}}
+    for k in range(1, min(d, n) + 1):
+        prefixes, tables = tables, {}
+        minors = [(cols, sum(1 << j - 1 for j in cols))
+                  for cols in itertools.combinations(range(1, n + 1), k)]
+        for rows in itertools.combinations(range(1, d + 1), k):
+            table = tables[rows] = _add_fraction_row(prefixes[rows[:-1]], v.entries[rows[-1] - 1])
+            for cols, mask in minors:
+                if table.get(mask, (INF, 0))[1] != 1:  # INF or attained twice
                     return False, (rows, cols)
     return True, None
 

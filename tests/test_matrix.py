@@ -3,10 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import is_generic_by_minors, trop_det_by_permutations
+from oracles import (
+    is_generic_by_minors,
+    is_generic_by_tables,
+    trop_det_by_permutations,
+    trop_det_by_tables,
+)
 from wdpoly import (
     INF,
     BipartiteSupportGraph,
@@ -235,6 +240,67 @@ def test_trop_det_matches_the_permutation_oracle(a):
 @given(_matrices(4, 5))
 def test_is_generic_matches_the_minor_oracle(v):
     assert is_generic(v) == is_generic_by_minors(v)
+
+
+_VALUE = st.builds(Fraction, st.integers(-999, 999), st.integers(1, 997))
+
+
+@st.composite
+def _tied_matrices(draw, max_rows, max_cols, square=False):
+    """Entries over denominators up to 997: a few values repeated (ties), fresh values and
+    INF, and now and then a row or a column of INF."""
+    d = draw(st.integers(1, max_rows))
+    n = d if square else draw(st.integers(1, max_cols))
+    pool = draw(st.lists(_VALUE, min_size=2, max_size=4, unique=True))
+    entry = st.integers(0, 9).flatmap(
+        lambda t: st.just(INF) if t == 0 else st.sampled_from(pool) if t < 5 else _VALUE
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=d, max_size=d))
+    if draw(st.integers(0, 15)) == 0:
+        rows[draw(st.integers(0, d - 1))] = [INF] * n
+    if draw(st.integers(0, 15)) == 0:
+        j = draw(st.integers(0, n - 1))
+        rows = [r[:j] + [INF] + r[j + 1:] for r in rows]
+    return M(rows)
+
+
+# rows i and columns j over distinct primes: x_ij = 1/p_i + 1/q_j, plus 1 unless j is i or i + 1
+# (mod 4).  Every sum matrix ties all permutations, so exactly the identity and the shift stay
+# optimal, and L is the product of the eight primes, above 2^64.
+_PRIMES = (983, 991, 997, 977), (971, 967, 953, 947)
+_BIG_L = M([[Fraction(1, p) + Fraction(1, q) + (0 if (j - i) % 4 in (0, 1) else 1)
+             for j, q in enumerate(_PRIMES[1])] for i, p in enumerate(_PRIMES[0])])
+
+
+def test_trop_det_at_a_scale_above_two_to_the_64():
+    scale = 1
+    for p in _PRIMES[0] + _PRIMES[1]:
+        scale *= p
+    assert scale > 2 ** 64
+    res = trop_det(_BIG_L)
+    assert res.value == sum(Fraction(1, p) for p in _PRIMES[0] + _PRIMES[1])
+    assert res.value.denominator == scale and res.vanishes
+    assert res.optimal_permutations == {(1, 2, 3, 4), (2, 3, 4, 1)}
+    assert (res.value, res.optimal_permutations, res.vanishes) == trop_det_by_tables(_BIG_L)
+    assert is_generic(_BIG_L) == is_generic_by_tables(_BIG_L) == (False, ((1, 2), (2, 4)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_tied_matrices(9, 9, square=True))
+@example(_BIG_L)
+@example(M([["inf"] * 7] + [[0] * 7] * 6))
+def test_trop_det_matches_the_fraction_tables(a):
+    value, opt, vanishes = trop_det_by_tables(a)
+    res = trop_det(a)
+    assert res.value == value and res.vanishes == vanishes
+    assert res.optimal_permutations == opt
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_matrices(9, 9))
+@example(_BIG_L)
+def test_is_generic_matches_the_fraction_tables(v):
+    assert is_generic(v) == is_generic_by_tables(v)
 
 
 _PC = PointConfig.make([[0, "inf"], [2, 5]])
